@@ -11,7 +11,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <set>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -66,78 +66,70 @@ struct PendingConn {
   FrameDecoder dec;
 };
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Outcome rendering + the shared fold
-// ---------------------------------------------------------------------------
-
-std::string Coordinator::Outcome::to_json(bool include_host_stats) const {
-  sim::CampaignArtifacts a;
-  a.configs = configs;
-  a.reps = reps;
-  a.seed = seed;
-  a.results = &results;
-  a.report = &report;
-  a.metrics = &metrics;
-  a.quarantined_configs = &quarantined_configs;
-  a.slo = slo;
-  a.workers = workers_used;
-  a.wall_seconds = wall_seconds;
-  return sim::campaign_json(a, include_host_stats);
-}
-
-std::string Coordinator::Outcome::health_json(bool include_host_stats) const {
-  sim::CampaignArtifacts a;
-  a.configs = configs;
-  a.reps = reps;
-  a.seed = seed;
-  a.results = &results;
-  a.report = &report;
-  a.metrics = &metrics;
-  a.quarantined_configs = &quarantined_configs;
-  a.slo = slo;
-  a.workers = workers_used;
-  a.wall_seconds = wall_seconds;
-  return sim::campaign_health_json(a, include_host_stats);
-}
-
-void fold_records(const JobSpec& job, std::vector<json::Value> records,
-                  Coordinator::Outcome& out) {
-  // Index the records, first-wins (a re-executed run after a lost record is
-  // deterministic, so duplicates are identical anyway), then fold in
-  // run-index order -- the engine's Report/timeline contract.
-  std::map<std::size_t, const json::Value*> by_index;
-  for (const json::Value& rec : records) {
-    by_index.emplace(record_run_index(rec), &rec);
+/// The run indices a job executes: the whole matrix, or its run_filter
+/// sorted and deduplicated. Throws CoordinatorError for a filter index
+/// outside the matrix.
+std::vector<std::size_t> run_targets(const JobSpec& job) {
+  const std::size_t runs = job.configs * job.reps;
+  std::vector<std::size_t> targets = job.run_filter;
+  if (targets.empty()) {
+    targets.resize(runs);
+    std::iota(targets.begin(), targets.end(), std::size_t{0});
+    return targets;
   }
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  const auto bad = std::lower_bound(targets.begin(), targets.end(), runs);
+  if (bad != targets.end()) {
+    throw CoordinatorError("run_filter index " + std::to_string(*bad) +
+                           " outside the " + std::to_string(runs) +
+                           "-run matrix");
+  }
+  return targets;
+}
+
+/// A record carrying only a result: runs that were never executed
+/// (quarantine skips) have no report, registry or timeline to ship.
+json::Value result_record(const sim::RunResult& r) {
+  json::Value rec = json::Value::object();
+  rec.set("result", run_result_to_json(r));
+  return rec;
+}
+
+/// The shared finalize step: restores each record (run-index order) into
+/// fresh objects and merges them in, then appends the failure/SLO
+/// manifests and the ledger's quarantined configs.
+void fold_records(const JobSpec& job,
+                  const std::map<std::size_t, json::Value>& records,
+                  const sim::ConfigLedger& ledger,
+                  Coordinator::Outcome& out) {
   out.configs = job.configs;
   out.reps = job.reps;
   out.seed = job.opt.seed;
   out.slo = job.opt.slo;
-  for (const auto& [index, rec] : by_index) {
+  for (const auto& [index, rec] : records) {
     (void)index;
-    out.results.push_back(run_result_from_json(rec->at("result")));
+    out.results.push_back(run_result_from_json(rec.at("result")));
     // Restore each snapshot into a FRESH object and merge() it in: merge
     // is the engine's reduction (counters add, gauges max, entries append
     // under the cap); restoring straight into the accumulator would give
     // replace semantics instead.
-    if (const json::Value* v = rec->find("report")) {
+    if (const json::Value* v = rec.find("report")) {
       sim::Report tmp;
       report_from_json(*v, tmp);
       out.report.merge(tmp);
     }
-    if (const json::Value* v = rec->find("registry")) {
+    if (const json::Value* v = rec.find("registry")) {
       metrics::Registry tmp;
       registry_from_json(*v, tmp);
       out.metrics.merge(tmp);
     }
-    if (const json::Value* v = rec->find("coverage")) {
+    if (const json::Value* v = rec.find("coverage")) {
       metrics::Coverage tmp;
       coverage_from_json(*v, tmp);
       out.coverage.merge(tmp);
     }
-    if (const json::Value* v = rec->find("timeline")) {
+    if (const json::Value* v = rec.find("timeline")) {
       metrics::TimeSeriesStore tmp;
       timeline_from_json(*v, tmp);
       out.timeline.merge(tmp);
@@ -145,6 +137,32 @@ void fold_records(const JobSpec& job, std::vector<json::Value> records,
   }
   sim::append_campaign_manifests(out.results, job.reps, job.opt.slo,
                                  out.report);
+  out.quarantined_configs = ledger.quarantined_configs();
+}
+
+sim::CampaignArtifacts artifacts_of(const Coordinator::Outcome& o) {
+  sim::CampaignArtifacts a;
+  a.configs = o.configs;
+  a.reps = o.reps;
+  a.seed = o.seed;
+  a.results = &o.results;
+  a.report = &o.report;
+  a.metrics = &o.metrics;
+  a.quarantined_configs = &o.quarantined_configs;
+  a.slo = o.slo;
+  a.workers = o.workers_used;
+  a.wall_seconds = o.wall_seconds;
+  return a;
+}
+
+}  // namespace
+
+std::string Coordinator::Outcome::to_json(bool include_host_stats) const {
+  return sim::campaign_json(artifacts_of(*this), include_host_stats);
+}
+
+std::string Coordinator::Outcome::health_json(bool include_host_stats) const {
+  return sim::campaign_health_json(artifacts_of(*this), include_host_stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,71 +171,32 @@ void fold_records(const JobSpec& job, std::vector<json::Value> records,
 
 void run_local(const JobSpec& job, Coordinator::Outcome& out) {
   const auto t0 = Clock::now();
+  const std::vector<std::size_t> targets = run_targets(job);
   std::unique_ptr<Workload> wl = make_workload(job.workload, job.params);
   const sim::Campaign::Body body = wl->body();
   sim::RunShard shard(job.opt);
+  sim::ConfigLedger ledger(job.configs, job.opt.quarantine_after);
 
-  std::vector<std::size_t> targets = job.run_filter;
-  if (targets.empty()) {
-    for (std::size_t i = 0; i < job.configs * job.reps; ++i) {
-      targets.push_back(i);
-    }
-  } else {
-    std::sort(targets.begin(), targets.end());
-  }
-
-  std::vector<std::uint32_t> config_failures(job.configs, 0);
-  std::vector<json::Value> records;
+  std::map<std::size_t, json::Value> records;
   for (std::size_t index : targets) {
-    sim::RunSpec spec;
-    spec.index = index;
-    spec.config = job.reps > 0 ? index / job.reps : 0;
-    spec.rep = job.reps > 0 ? index % job.reps : 0;
-    spec.seed = sim::campaign_run_seed(job.opt.seed, index);
-
-    if (job.opt.quarantine_after > 0 && spec.config < config_failures.size() &&
-        config_failures[spec.config] >= job.opt.quarantine_after) {
-      sim::RunResult r;
-      r.index = index;
-      r.seed = spec.seed;
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(spec.config) +
-                " quarantined after " +
-                std::to_string(job.opt.quarantine_after) + " failed runs";
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.push_back(std::move(rec));
+    const sim::RunSpec spec =
+        sim::campaign_run_spec(job.opt.seed, job.reps, index);
+    if (ledger.quarantined(spec.config)) {
+      records.emplace(index, result_record(sim::quarantined_run(
+                                 spec, job.opt.quarantine_after)));
       continue;
     }
-
     shard.registry.clear();
     wl->begin_run();
     sim::RunResult r;
     sim::Report report;
     metrics::TimeSeriesStore timeline;
     sim::execute_run(shard, job.opt, spec, 0, body, r, &report, &timeline);
-    if (!r.ok) {
-      if (job.opt.quarantine_after > 0 &&
-          spec.config < config_failures.size()) {
-        ++config_failures[spec.config];
-      }
-      if (!job.opt.repro_dir.empty()) {
-        sim::write_repro_bundle(job.opt.repro_dir, job.opt.seed, job.configs,
-                                job.reps, spec, r);
-      }
-    }
-    records.push_back(make_run_record(r, report, shard.registry,
-                                      wl->coverage(), timeline));
+    sim::handle_failed_run(job.opt, job.configs, job.reps, spec, r, &ledger);
+    records.emplace(index, make_run_record(r, report, shard.registry,
+                                           wl->coverage(), timeline));
   }
-  fold_records(job, std::move(records), out);
-  for (std::size_t c = 0; c < config_failures.size(); ++c) {
-    if (job.opt.quarantine_after > 0 &&
-        config_failures[c] >= job.opt.quarantine_after) {
-      out.quarantined_configs.push_back(c);
-    }
-  }
+  fold_records(job, records, ledger, out);
   out.workers_used = 1;
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -238,14 +217,13 @@ struct Coordinator::Impl {
   std::deque<std::int64_t> queue;      ///< undispatched unit ids
   std::map<std::size_t, json::Value> records;  ///< run index -> record
   std::size_t total_targets = 0;
-  std::vector<std::uint32_t> config_failures;
-  std::set<std::size_t> quarantined_configs;
+  sim::ConfigLedger ledger;
   std::vector<std::int64_t> quarantined_units;
   std::size_t since_checkpoint = 0;
   std::string digest;
 
   Impl(Coordinator& c, const JobSpec& j, const CoordinatorOptions& o)
-      : self(c), job(j), opt(o) {}
+      : self(c), job(j), opt(o), ledger(j.configs, j.opt.quarantine_after) {}
 
   void emit(const std::string& kind, int worker = -1, long pid = -1,
             std::int64_t unit = -1, const std::string& detail = "") {
@@ -268,28 +246,7 @@ struct Coordinator::Impl {
   void setup() {
     digest = job_digest(job.configs, job.reps, job.opt, job.workload,
                         job.params.dump());
-    if (job.opt.quarantine_after > 0) {
-      config_failures.assign(job.configs, 0);
-    }
-
-    std::vector<std::size_t> targets = job.run_filter;
-    if (targets.empty()) {
-      for (std::size_t i = 0; i < job.configs * job.reps; ++i) {
-        targets.push_back(i);
-      }
-    } else {
-      std::sort(targets.begin(), targets.end());
-      targets.erase(std::unique(targets.begin(), targets.end()),
-                    targets.end());
-      for (std::size_t t : targets) {
-        if (t >= job.configs * job.reps) {
-          throw CoordinatorError("run_filter index " + std::to_string(t) +
-                                 " outside the " +
-                                 std::to_string(job.configs * job.reps) +
-                                 "-run matrix");
-        }
-      }
-    }
+    const std::vector<std::size_t> targets = run_targets(job);
     total_targets = targets.size();
 
     if (opt.resume && !opt.checkpoint_path.empty() &&
@@ -349,19 +306,15 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Updates the config-quarantine ledger from a stored record.
+  /// Counts a stored record's failure in the config-quarantine ledger --
+  /// the coordinator's share of sim::handle_failed_run (workers write the
+  /// repro bundles). Skipped runs (attempts == 0) were never executed and
+  /// do not count, as in the engine.
   void note_result_for_quarantine(std::size_t idx) {
-    if (job.opt.quarantine_after == 0 || job.reps == 0) return;
-    const json::Value& rec = records.at(idx);
-    const bool ok = rec.at("result").get_bool("ok", false);
-    if (ok) return;
-    const std::size_t config = idx / job.reps;
-    if (config >= config_failures.size()) return;
-    // Quarantine-skipped cells (attempts == 0) never count as failures in
-    // the engine either -- they were not executed.
-    if (rec.at("result").get_u64("attempts", 1) == 0) return;
-    if (++config_failures[config] >= job.opt.quarantine_after) {
-      quarantined_configs.insert(config);
+    const json::Value& res = records.at(idx).at("result");
+    if (!res.get_bool("ok", false) && res.get_u64("attempts", 1) > 0) {
+      ledger.count_failure(
+          sim::campaign_run_spec(job.opt.seed, job.reps, idx).config);
     }
   }
 
@@ -520,11 +473,8 @@ struct Coordinator::Impl {
                        const std::string& why) {
     for (std::size_t index : u.indices) {
       if (records.find(index) != records.end()) continue;
-      sim::RunSpec spec;
-      spec.index = index;
-      spec.config = job.reps > 0 ? index / job.reps : 0;
-      spec.rep = job.reps > 0 ? index % job.reps : 0;
-      spec.seed = sim::campaign_run_seed(job.opt.seed, index);
+      const sim::RunSpec spec =
+          sim::campaign_run_spec(job.opt.seed, job.reps, index);
       sim::RunResult r;
       r.index = index;
       r.seed = spec.seed;
@@ -534,13 +484,10 @@ struct Coordinator::Impl {
       r.error = "unit " + std::to_string(u.id) + " quarantined (" + why +
                 "): " + signature;
       r.error_type = "campaignd::WorkerFailure";
-      if (!job.opt.repro_dir.empty()) {
-        sim::write_repro_bundle(job.opt.repro_dir, job.opt.seed, job.configs,
-                                job.reps, spec, r);
-      }
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.emplace(index, std::move(rec));
+      // Never executed, so it does not count against its config.
+      sim::handle_failed_run(job.opt, job.configs, job.reps, spec, r,
+                             nullptr);
+      records.emplace(index, result_record(r));
       ++since_checkpoint;
     }
     quarantined_units.push_back(u.id);
@@ -551,29 +498,18 @@ struct Coordinator::Impl {
   /// Strikes quarantined-config runs from a unit before dispatch,
   /// synthesizing their skip records (engine gate parity).
   void strip_quarantined_configs(Unit& u) {
-    if (job.opt.quarantine_after == 0 || quarantined_configs.empty() ||
-        job.reps == 0) {
-      return;
-    }
+    if (job.opt.quarantine_after == 0) return;
     std::vector<std::size_t> keep;
     for (std::size_t index : u.indices) {
-      const std::size_t config = index / job.reps;
-      if (quarantined_configs.find(config) == quarantined_configs.end()) {
+      const sim::RunSpec spec =
+          sim::campaign_run_spec(job.opt.seed, job.reps, index);
+      if (!ledger.quarantined(spec.config)) {
         keep.push_back(index);
         continue;
       }
       if (records.find(index) != records.end()) continue;
-      sim::RunResult r;
-      r.index = index;
-      r.seed = sim::campaign_run_seed(job.opt.seed, index);
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(config) + " quarantined after " +
-                std::to_string(job.opt.quarantine_after) + " failed runs";
-      json::Value rec = json::Value::object();
-      rec.set("result", run_result_to_json(r));
-      records.emplace(index, std::move(rec));
+      records.emplace(index, result_record(sim::quarantined_run(
+                                 spec, job.opt.quarantine_after)));
       ++since_checkpoint;
     }
     u.indices.swap(keep);
@@ -977,15 +913,7 @@ void Coordinator::run(Outcome& out) {
   }
   impl.teardown(interrupted);
 
-  std::vector<json::Value> recs;
-  recs.reserve(impl.records.size());
-  for (auto& [idx, rec] : impl.records) {
-    (void)idx;
-    recs.push_back(std::move(rec));
-  }
-  fold_records(job_, std::move(recs), out);
-  out.quarantined_configs.assign(impl.quarantined_configs.begin(),
-                                 impl.quarantined_configs.end());
+  fold_records(job_, impl.records, impl.ledger, out);
   out.quarantined_units = impl.quarantined_units;
   out.interrupted = interrupted;
   out.workers_used = opt_.workers == 0 ? 1 : opt_.workers;

@@ -183,13 +183,8 @@ class Coordinator {
 /// (one shard, run-index order) through the SAME executor, record
 /// construction and fold as the distributed path -- so its Outcome renders
 /// byte-identical JSON by construction. The chaos suite diffs against this.
+/// Validates run_filter exactly like Coordinator::run (CoordinatorError for
+/// an index outside the matrix; duplicates execute once).
 void run_local(const JobSpec& job, Coordinator::Outcome& out);
-
-/// The shared finalize step: sorts records by run index, restores each into
-/// fresh objects and merges them in order, then appends the failure/SLO
-/// manifests. Exposed for checkpoint tooling ("render artifacts from a
-/// checkpoint without re-running anything").
-void fold_records(const JobSpec& job, std::vector<json::Value> records,
-                  Coordinator::Outcome& out);
 
 }  // namespace mts::campaignd

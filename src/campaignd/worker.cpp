@@ -198,7 +198,7 @@ class Worker {
           pre_run_chaos(d);
         }
       }
-      execute_one(unit, index);
+      execute_one(index);
       for (const ChaosDirective& d : chaos) {
         if (d.at_run == index && d.mode == "drop_connection" &&
             claim_marker(d.marker)) {
@@ -226,24 +226,18 @@ class Worker {
   /// accumulation the in-process engine reduces. (Gauges merge by max
   /// rather than last-write; bodies that need byte-identical distributed
   /// artifacts keep gauges out of ctx.metrics() -- see snapshots.hpp.)
-  void execute_one(std::int64_t unit, std::size_t index) {
-    (void)unit;
+  void execute_one(std::size_t index) {
     shard_->registry.clear();
     workload_->begin_run();
-    sim::RunSpec spec;
-    spec.index = index;
-    spec.config = reps_ > 0 ? index / reps_ : 0;
-    spec.rep = reps_ > 0 ? index % reps_ : 0;
-    spec.seed = sim::campaign_run_seed(opt_.seed, index);
+    const sim::RunSpec spec = sim::campaign_run_spec(opt_.seed, reps_, index);
     sim::RunResult result;
     sim::Report report;
     metrics::TimeSeriesStore timeline;
     sim::execute_run(*shard_, opt_, spec, 0, body_, result, &report,
                      &timeline);
-    if (!result.ok && !opt_.repro_dir.empty()) {
-      sim::write_repro_bundle(opt_.repro_dir, opt_.seed, configs_, reps_,
-                              spec, result);
-    }
+    // The coordinator keeps the config-quarantine ledger (it sees every
+    // worker's records); this process only writes the repro bundle.
+    sim::handle_failed_run(opt_, configs_, reps_, spec, result, nullptr);
     record_ = make_run_record(result, report, shard_->registry,
                               workload_->coverage(), timeline);
   }

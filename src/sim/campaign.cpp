@@ -263,9 +263,10 @@ Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
 }
 
 struct Campaign::Cursor {
+  Cursor(std::size_t configs, unsigned quarantine_after)
+      : ledger(configs, quarantine_after) {}
   std::atomic<std::size_t> next{0};
-  /// Per-config finally-failed counts (quarantine_after > 0 only).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> config_failures;
+  ConfigLedger ledger;
 };
 
 /// Shared streaming-health tallies (progress sink). Guarded by one mutex:
@@ -289,42 +290,14 @@ void Campaign::worker_loop(RunShard& w, unsigned worker_index,
         cursor_->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= runs()) return;
 
-    RunSpec spec;
-    spec.index = i;
-    spec.config = i / reps_;
-    spec.rep = i % reps_;
-    spec.seed = campaign_run_seed(opt_.seed, i);
-
+    const RunSpec spec = campaign_run_spec(opt_.seed, reps_, i);
     RunResult& r = results_[i];
-    r.index = i;
-    r.seed = spec.seed;
-
-    // Quarantine gate: a config that already burned its failure budget is
-    // skipped, not executed (attempts == 0 marks the skip).
-    if (opt_.quarantine_after > 0 &&
-        cursor_->config_failures[spec.config].load(
-            std::memory_order_relaxed) >= opt_.quarantine_after) {
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "config " + std::to_string(spec.config) +
-                " quarantined after " +
-                std::to_string(opt_.quarantine_after) + " failed runs";
-      continue;
-    }
-
-    execute_run(w, opt_, spec, worker_index, body, r, &run_reports_[i],
-                &run_timelines_[i]);
-
-    if (!r.ok) {
-      if (opt_.quarantine_after > 0) {
-        cursor_->config_failures[spec.config].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      if (!opt_.repro_dir.empty()) {
-        write_repro_bundle(opt_.repro_dir, opt_.seed, configs_, reps_, spec,
-                           r);
-      }
+    if (cursor_->ledger.quarantined(spec.config)) {
+      r = quarantined_run(spec, opt_.quarantine_after);
+    } else {
+      execute_run(w, opt_, spec, worker_index, body, r, &run_reports_[i],
+                  &run_timelines_[i]);
+      handle_failed_run(opt_, configs_, reps_, spec, r, &cursor_->ledger);
     }
 
     if (live_ != nullptr) note_run_done(r);
@@ -369,6 +342,60 @@ void Campaign::note_run_done(const RunResult& r) {
          << lv.worst_run << ")";
   }
   opt_.progress(line.str());
+}
+
+RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
+                          std::size_t index) noexcept {
+  RunSpec spec;
+  spec.index = index;
+  spec.config = reps > 0 ? index / reps : 0;
+  spec.rep = reps > 0 ? index % reps : 0;
+  spec.seed = campaign_run_seed(campaign_seed, index);
+  return spec;
+}
+
+ConfigLedger::ConfigLedger(std::size_t configs, unsigned quarantine_after)
+    : after_(quarantine_after), failures_(quarantine_after > 0 ? configs : 0) {}
+
+bool ConfigLedger::quarantined(std::size_t config) const noexcept {
+  return config < failures_.size() &&
+         failures_[config].load(std::memory_order_relaxed) >= after_;
+}
+
+void ConfigLedger::count_failure(std::size_t config) noexcept {
+  if (config < failures_.size()) {
+    failures_[config].fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+std::vector<std::size_t> ConfigLedger::quarantined_configs() const {
+  std::vector<std::size_t> out;
+  for (std::size_t c = 0; c < failures_.size(); ++c) {
+    if (quarantined(c)) out.push_back(c);
+  }
+  return out;
+}
+
+RunResult quarantined_run(const RunSpec& spec, unsigned quarantine_after) {
+  RunResult r;
+  r.index = spec.index;
+  r.seed = spec.seed;
+  r.ok = false;
+  r.attempts = 0;
+  r.classification = "quarantined";
+  r.error = "config " + std::to_string(spec.config) + " quarantined after " +
+            std::to_string(quarantine_after) + " failed runs";
+  return r;
+}
+
+void handle_failed_run(const CampaignOptions& opt, std::size_t configs,
+                       std::size_t reps, const RunSpec& spec, RunResult& r,
+                       ConfigLedger* ledger) {
+  if (r.ok) return;
+  if (ledger != nullptr) ledger->count_failure(spec.config);
+  if (!opt.repro_dir.empty()) {
+    write_repro_bundle(opt.repro_dir, opt.seed, configs, reps, spec, r);
+  }
 }
 
 bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
@@ -419,14 +446,7 @@ void Campaign::run(const Body& body) {
   run_timelines_.assign(n, metrics::TimeSeriesStore{});
   if (n == 0) return;
 
-  Cursor cursor;
-  if (opt_.quarantine_after > 0 && configs_ > 0) {
-    cursor.config_failures =
-        std::make_unique<std::atomic<std::uint32_t>[]>(configs_);
-    for (std::size_t c = 0; c < configs_; ++c) {
-      cursor.config_failures[c].store(0, std::memory_order_relaxed);
-    }
-  }
+  Cursor cursor(configs_, opt_.quarantine_after);
   cursor_ = &cursor;
 
   // Workers live in a deque: Simulation is non-movable and each shard's
@@ -451,14 +471,7 @@ void Campaign::run(const Body& body) {
   }
   const auto t1 = std::chrono::steady_clock::now();
   wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-  if (cursor.config_failures != nullptr) {
-    for (std::size_t c = 0; c < configs_; ++c) {
-      if (cursor.config_failures[c].load(std::memory_order_relaxed) >=
-          opt_.quarantine_after) {
-        quarantined_.push_back(c);
-      }
-    }
-  }
+  quarantined_ = cursor.ledger.quarantined_configs();
   cursor_ = nullptr;
   live_ = nullptr;
 
@@ -601,7 +614,7 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   return os.str();
 }
 
-std::string Campaign::health_json(bool include_host_stats) const {
+CampaignArtifacts Campaign::artifacts() const {
   CampaignArtifacts a;
   a.configs = configs_;
   a.reps = reps_;
@@ -613,7 +626,11 @@ std::string Campaign::health_json(bool include_host_stats) const {
   a.slo = opt_.slo;
   a.workers = workers_;
   a.wall_seconds = wall_seconds_;
-  return campaign_health_json(a, include_host_stats);
+  return a;
+}
+
+std::string Campaign::health_json(bool include_host_stats) const {
+  return campaign_health_json(artifacts(), include_host_stats);
 }
 
 bool Campaign::write_health_json(const std::string& path,
@@ -716,18 +733,7 @@ std::string campaign_json(const CampaignArtifacts& a,
 }
 
 std::string Campaign::to_json(bool include_host_stats) const {
-  CampaignArtifacts a;
-  a.configs = configs_;
-  a.reps = reps_;
-  a.seed = opt_.seed;
-  a.results = &results_;
-  a.report = &merged_report_;
-  a.metrics = &merged_;
-  a.quarantined_configs = &quarantined_;
-  a.slo = opt_.slo;
-  a.workers = workers_;
-  a.wall_seconds = wall_seconds_;
-  return campaign_json(a, include_host_stats);
+  return campaign_json(artifacts(), include_host_stats);
 }
 
 bool Campaign::write_json(const std::string& path,

@@ -69,6 +69,7 @@
 //     land in the run's report and repro bundle.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -291,6 +292,7 @@ class CampaignContext {
 };
 
 struct Observability;
+struct CampaignArtifacts;
 
 /// Worker-lifetime shard state for the single-run executor: the Simulation
 /// whose arenas stay warm across every run this shard executes, its
@@ -424,6 +426,8 @@ class Campaign {
   /// Streaming-health bookkeeping after one run completes: updates the
   /// shared tallies and emits a progress line on the configured cadence.
   void note_run_done(const RunResult& r);
+  /// The inputs to to_json() / health_json().
+  CampaignArtifacts artifacts() const;
 
   std::size_t configs_;
   std::size_t reps_;
@@ -442,8 +446,8 @@ class Campaign {
   std::vector<std::size_t> quarantined_;
   double wall_seconds_ = 0.0;
 
-  // Work distribution: pool threads claim run indices from this cursor.
-  // Defined in campaign.cpp to keep <atomic>/<thread> out of the header.
+  // Work distribution: pool threads claim run indices from this cursor,
+  // which also holds the config-quarantine ledger (campaign.cpp-local type).
   struct Cursor;
   Cursor* cursor_ = nullptr;
   // Streaming-health accounting (progress sink); campaign.cpp-local type.
@@ -461,20 +465,63 @@ class Campaign {
 /// snapshot (kernel pool high-water zeroed). With engine telemetry armed
 /// and timeline_out non-null, the run's sampled series are copied there
 /// (left empty when the sampler never ticked). Quarantine gating and repro
-/// bundles stay with the caller: this function never touches state outside
-/// the shard and its three out-parameters, which is what lets a campaignd
-/// worker process produce bit-identical runs to the in-process pool.
+/// bundles stay with the caller (see the policy below): this function never
+/// touches state outside the shard and its three out-parameters, which is
+/// what lets a campaignd worker process produce bit-identical runs to the
+/// in-process pool.
 void execute_run(RunShard& shard, const CampaignOptions& opt,
                  const RunSpec& spec, unsigned worker_index,
                  const Campaign::Body& body, RunResult& result,
                  Report* report_out, metrics::TimeSeriesStore* timeline_out);
 
+// -- per-run supervision policy (shared with src/campaignd) -----------------
+//
+// Campaign::run, the campaignd in-process oracle (run_local), its worker
+// processes and its coordinator all apply these, so a run's spec, its
+// quarantine skip record and its post-failure bookkeeping are the same
+// whichever transport executes it.
+
+/// Run `index` of a row-major matrix with `reps` replicas per config, under
+/// campaign seed `campaign_seed`.
+RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
+                          std::size_t index) noexcept;
+
+/// Per-config finally-failed run counts behind config quarantine
+/// (CampaignOptions::quarantine_after; 0 turns every member into a no-op).
+/// Counts are relaxed atomics: pool threads count and gate concurrently.
+class ConfigLedger {
+ public:
+  ConfigLedger(std::size_t configs, unsigned quarantine_after);
+
+  /// True once `config` has burned its failure budget: its remaining runs
+  /// are skipped (quarantined_run) instead of executed.
+  bool quarantined(std::size_t config) const noexcept;
+  void count_failure(std::size_t config) noexcept;
+  /// The quarantined configs, ascending.
+  std::vector<std::size_t> quarantined_configs() const;
+
+ private:
+  unsigned after_;
+  std::vector<std::atomic<std::uint32_t>> failures_;
+};
+
+/// The skip record for a run of a quarantined config: not executed
+/// (attempts == 0), classification "quarantined".
+RunResult quarantined_run(const RunSpec& spec, unsigned quarantine_after);
+
+/// The step after every executed run. A failed run counts against its
+/// config in `ledger` (nullptr: the caller keeps the ledger elsewhere), then
+/// writes its repro bundle when opt.repro_dir is set. A passing run is left
+/// untouched.
+void handle_failed_run(const CampaignOptions& opt, std::size_t configs,
+                       std::size_t reps, const RunSpec& spec,
+                       RunResult& result, ConfigLedger* ledger);
+
 /// Writes <dir>/run-<index>.json -- the self-contained repro bundle
 /// (coordinates incl. matrix shape, seeds, failure, scalars, violations)
 /// for a finally-failed run -- and records its path in `result`. Returns
 /// false on I/O failure without throwing: bundles are best-effort, the
-/// in-memory RunResult is authoritative. Shared by Campaign and the
-/// campaignd coordinator/worker so bundles are byte-identical either way.
+/// in-memory RunResult is authoritative.
 bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
                         std::size_t configs, std::size_t reps,
                         const RunSpec& spec, RunResult& result);

@@ -1,8 +1,9 @@
 // campaignd chaos harness: crash-isolated workers are killed, wedged, muted
 // and disconnected mid-campaign, and the merged artifacts must stay
 // byte-identical to the sequential in-process oracle (run_local). Also
-// covers graceful shutdown + resume, quarantine, degradation, repro-bundle
-// replay through a worker process, and the submit/status/fetch service.
+// covers graceful shutdown + resume, quarantine (per unit, and per config
+// against sim::Campaign), degradation, run_filter validation, repro-bundle
+// replay through a worker process and the CLI's numeric-flag errors.
 //
 // Worker processes are fork/exec'd from the mts_campaignd CLI binary; its
 // path is baked in at configure time (MTS_CAMPAIGND_BIN_DEFAULT) and can be
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -20,13 +22,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaignd/coordinator.hpp"
 #include "campaignd/json.hpp"
-#include "campaignd/net.hpp"
-#include "campaignd/service.hpp"
-#include "campaignd/wire.hpp"
+#include "campaignd/workload.hpp"
 #include "sim/campaign.hpp"
 
 namespace campaignd = mts::campaignd;
@@ -282,9 +283,17 @@ TEST(CampaigndChaos, GracefulShutdownCheckpointsAndResumeIsByteIdentical) {
   Coordinator::Outcome first;
   Coordinator coord(job, opt);
   std::thread runner([&] { coord.run(first); });
-  log->wait_for("run_done", 2);
+  // The marker appears when run 4's worker claims the hang: from then on a
+  // run is in flight, and the resumed campaign cannot hang again.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (::access(marker.c_str(), F_OK) != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   coord.request_shutdown();
   runner.join();
+  ASSERT_EQ(::access(marker.c_str(), F_OK), 0) << "run 4 never started";
 
   EXPECT_TRUE(first.interrupted);
   EXPECT_GE(log->count("checkpoint_written"), 1u);
@@ -302,6 +311,7 @@ TEST(CampaigndChaos, GracefulShutdownCheckpointsAndResumeIsByteIdentical) {
   rcoord.run(resumed);
 
   EXPECT_FALSE(resumed.interrupted);
+  EXPECT_FALSE(log2->any_detail_contains("worker_lost", "progress-timeout"));
   const std::size_t total = job.configs * job.reps;
   EXPECT_EQ(log2->count("run_done"), total - first.results.size());
   expect_identical_to_local(job, resumed);
@@ -431,109 +441,105 @@ TEST(CampaigndChaos, ReproBundleReplaysThroughWorker) {
   std::remove(garbage.c_str());
 }
 
-// -- Service: submit / status / fetch ---------------------------------------
 
-namespace {
+// -- Shared per-run policy: the three executors agree -----------------------
 
-std::string service_request(std::uint16_t port, const std::string& payload) {
-  campaignd::Fd fd = campaignd::connect_local(port);
-  campaignd::send_all(fd, campaignd::encode_frame(payload));
-  campaignd::FrameDecoder dec;
-  char buf[65536];
-  while (true) {
-    const std::size_t n = campaignd::recv_some(fd, buf, sizeof buf);
-    if (n == 0) return std::string();
-    std::vector<std::string> msgs;
-    dec.feed(buf, n, msgs);
-    if (!msgs.empty()) return msgs.front();
+TEST(CampaigndPolicy, RunFilterIsValidatedOnBothPaths) {
+  REQUIRE_WORKER_BIN();
+  JobSpec bad = small_job();  // 2 x 3: indices 0..5
+  bad.run_filter = {1, 7};
+  Coordinator::Outcome bad_local;
+  EXPECT_THROW(campaignd::run_local(bad, bad_local),
+               campaignd::CoordinatorError);
+  Coordinator::Outcome bad_dist;
+  Coordinator bad_coord(bad, fast_opts(1));
+  EXPECT_THROW(bad_coord.run(bad_dist), campaignd::CoordinatorError);
+
+  // A duplicated index executes, and reports, once.
+  JobSpec dup = small_job();
+  dup.run_filter = {4, 1, 4};
+  Coordinator::Outcome local;
+  campaignd::run_local(dup, local);
+  Coordinator::Outcome dist;
+  Coordinator coord(dup, fast_opts(1));
+  coord.run(dist);
+  for (const Coordinator::Outcome* o : {&local, &dist}) {
+    ASSERT_EQ(o->results.size(), 2u);
+    EXPECT_EQ(o->results[0].index, 1u);
+    EXPECT_EQ(o->results[1].index, 4u);
   }
+  EXPECT_EQ(dist.to_json(false), local.to_json(false));
 }
 
-}  // namespace
-
-TEST(CampaigndService, SubmitStatusFetchLifecycle) {
+TEST(CampaigndPolicy, ConfigQuarantineMatchesEngineOnEveryPath) {
   REQUIRE_WORKER_BIN();
-  const JobSpec job = small_job();
+  JobSpec job = small_job();  // 2 x 3
+  job.workload = "chaos_soak";
+  job.params.set("fail_indices", json::parse("[1]"));  // config 0, rep 1
+  job.opt.quarantine_after = 1;
 
-  campaignd::Service svc(campaignd::ServiceOptions{});
-  std::thread server([&] { svc.serve(); });
+  sim::CampaignOptions eopt = job.opt;
+  eopt.workers = 1;  // quarantine is placement-dependent; pin the order
+  sim::Campaign engine(job.configs, job.reps, eopt);
+  const std::unique_ptr<campaignd::Workload> wl =
+      campaignd::make_workload(job.workload, job.params);
+  engine.run(wl->body());
 
-  json::Value submit = json::Value::object();
-  submit.set("type", json::Value(std::string("submit")));
-  submit.set("job", campaignd::job_to_json(job));
-  submit.set("coordinator",
-             campaignd::coordinator_options_to_json(fast_opts(2)));
-  const json::Value sresp = json::parse(service_request(svc.port(),
-                                                        submit.dump()));
-  ASSERT_TRUE(sresp.at("ok").as_bool()) << sresp.dump();
-  const std::int64_t id = sresp.at("job_id").as_i64();
-
-  // Poll status until the runner thread finishes the job.
-  std::string state = "queued";
-  for (int i = 0; i < 600 && state != "done"; ++i) {
-    const json::Value st =
-        json::parse(service_request(svc.port(), "{\"type\":\"status\"}"));
-    ASSERT_TRUE(st.at("ok").as_bool());
-    for (const json::Value& j : st.at("jobs").as_array()) {
-      if (j.at("id").as_i64() == id) state = j.at("state").as_string();
-    }
-    if (state == "failed") FAIL() << "service job failed";
-    if (state != "done") std::this_thread::sleep_for(
-        std::chrono::milliseconds(50));
-  }
-  ASSERT_EQ(state, "done");
-
-  json::Value fetch = json::Value::object();
-  fetch.set("type", json::Value(std::string("fetch")));
-  fetch.set("id", json::Value::number_i64(id));
-  const json::Value fresp = json::parse(service_request(svc.port(),
-                                                        fetch.dump()));
-  ASSERT_TRUE(fresp.at("ok").as_bool()) << fresp.dump();
-  EXPECT_EQ(fresp.at("state").as_string(), "done");
-
-  // The fetched artifact matches the sequential oracle (both normalized
-  // through the same parse -> dump cycle).
   Coordinator::Outcome local;
   campaignd::run_local(job, local);
-  EXPECT_EQ(fresp.at("campaign").dump(),
-            json::parse(local.to_json(false)).dump());
-  EXPECT_EQ(fresp.at("health").dump(),
-            json::parse(local.health_json(false)).dump());
 
-  svc.stop();
-  server.join();
+  CoordinatorOptions opt = fast_opts(1);
+  opt.unit_size = 1;
+  Coordinator::Outcome dist;
+  Coordinator coord(job, opt);
+  coord.run(dist);
+
+  const std::vector<sim::RunResult>& want = engine.results();
+  ASSERT_EQ(want.size(), 6u);
+  // Run 2 is config 0's remaining cell: skipped, never executed.
+  EXPECT_EQ(want[2].classification, "quarantined");
+  EXPECT_EQ(want[2].attempts, 0u);
+  EXPECT_EQ(want[2].error, "config 0 quarantined after 1 failed runs");
+  for (const Coordinator::Outcome* o : {&local, &dist}) {
+    ASSERT_EQ(o->results.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const sim::RunResult& got = o->results[i];
+      EXPECT_EQ(got.ok, want[i].ok) << "run " << i;
+      EXPECT_EQ(got.classification, want[i].classification) << "run " << i;
+      EXPECT_EQ(got.error, want[i].error) << "run " << i;
+      EXPECT_EQ(got.attempts, want[i].attempts) << "run " << i;
+    }
+    EXPECT_EQ(o->quarantined_configs, engine.quarantined());
+  }
 }
 
-TEST(CampaigndService, MalformedRequestsGetStructuredErrors) {
-  campaignd::Service svc(campaignd::ServiceOptions{});
-  std::thread server([&] { svc.serve(); });
+// -- CLI: bad numeric input is a usage error --------------------------------
 
-  // Valid frame, invalid JSON.
-  const json::Value r1 =
-      json::parse(service_request(svc.port(), "this is not json"));
-  EXPECT_FALSE(r1.at("ok").as_bool());
-  // Valid JSON, unknown type.
-  const json::Value r2 =
-      json::parse(service_request(svc.port(), "{\"type\":\"explode\"}"));
-  EXPECT_FALSE(r2.at("ok").as_bool());
-  // Fetch of a job that does not exist.
-  const json::Value r3 = json::parse(
-      service_request(svc.port(), "{\"type\":\"fetch\",\"id\":999}"));
-  EXPECT_FALSE(r3.at("ok").as_bool());
-  // Raw garbage (bad length prefix): the service closes the connection
-  // without dying...
-  {
-    campaignd::Fd fd = campaignd::connect_local(svc.port());
-    campaignd::send_all(fd, std::string("\xff\xff\xff\xffgarbage", 11));
-    char buf[256];
-    while (campaignd::recv_some(fd, buf, sizeof buf) != 0) {
-    }
+TEST(CampaigndCli, BadNumericFlagsExitWithUsage) {
+  REQUIRE_WORKER_BIN();
+  const std::string err = temp_name("cli_err") + ".txt";
+  // Exit status and the first stderr line of one invocation.
+  auto run = [&](const std::string& args, std::string& first_line) {
+    const int rc = std::system(
+        (worker_bin() + " " + args + " > /dev/null 2> " + err).c_str());
+    std::ifstream in(err);
+    std::getline(in, first_line);
+    return WEXITSTATUS(rc);
+  };
+  const std::string job = "run --local --configs 1 --reps 1";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {job + " --seed -5", "bad value for --seed: '-5'"},
+      {job + " --seed +5", "bad value for --seed: '+5'"},
+      {job + " --run-deadline-sec abc", "bad value for --run-deadline-sec"},
+      {job + " --run-deadline-sec -1", "bad value for --run-deadline-sec"},
+      {job + " --workers 4294967296", "bad value for --workers"},
+      {job + " --heartbeat-ms 2147483648", "bad value for --heartbeat-ms"},
+      {"worker --port 65536", "bad value for --port"},
+  };
+  for (const auto& [args, want] : cases) {
+    std::string line;
+    EXPECT_EQ(run(args, line), 2) << args;
+    EXPECT_NE(line.find(want), std::string::npos) << args << ": " << line;
   }
-  // ...and keeps serving afterwards.
-  const json::Value r4 =
-      json::parse(service_request(svc.port(), "{\"type\":\"status\"}"));
-  EXPECT_TRUE(r4.at("ok").as_bool());
-
-  svc.stop();
-  server.join();
+  std::remove(err.c_str());
 }

@@ -1,4 +1,4 @@
-// mts_campaignd -- the fault-tolerant campaign service CLI.
+// mts_campaignd -- fault-tolerant multi-process campaign execution.
 //
 //   mts_campaignd run [job flags]        execute a campaign across a fleet
 //                                        of crash-isolated worker processes
@@ -9,29 +9,22 @@
 //                                        a fresh worker process; exit 0 when
 //                                        the same failure reproduces, 1 when
 //                                        it does not, 2 on a malformed bundle
-//   mts_campaignd serve [--port N]       job service (submit/status/fetch)
-//   mts_campaignd submit/status/fetch    its clients
 //
 // `run --checkpoint FILE` checkpoints completed runs; re-running with
 // --resume replays nothing and renders byte-identical artifacts. SIGTERM /
-// SIGINT write a final checkpoint before exiting (exit code 3).
-#include <atomic>
-#include <chrono>
-#include <csignal>
+// SIGINT write a final checkpoint before exiting (exit code 3). A bad flag
+// or numeric value prints usage and exits 2.
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaignd/coordinator.hpp"
 #include "campaignd/json.hpp"
-#include "campaignd/net.hpp"
-#include "campaignd/service.hpp"
-#include "campaignd/wire.hpp"
 #include "campaignd/worker.hpp"
 #include "sim/campaign.hpp"
 
@@ -60,26 +53,46 @@ namespace json = mts::campaignd::json;
       " [--events]\n"
       "       mts_campaignd worker --port N\n"
       "       mts_campaignd replay BUNDLE [--workload W] [--params JSON]"
-      " [--worker-bin PATH]\n"
-      "       mts_campaignd serve [--port N]\n"
-      "       mts_campaignd submit --port N [job flags]\n"
-      "       mts_campaignd status --port N\n"
-      "       mts_campaignd fetch --port N --id N\n";
+      " [--worker-bin PATH]\n";
   std::exit(2);
 }
 
-std::uint64_t arg_u64(const std::string& flag, const std::string& v) {
+/// An unsigned decimal no larger than `max` (the target field's range);
+/// anything else -- a sign, trailing bytes, overflow -- goes to usage().
+std::uint64_t arg_u64(const std::string& flag, const std::string& v,
+                      std::uint64_t max =
+                          std::numeric_limits<std::uint64_t>::max()) {
   try {
     std::size_t pos = 0;
+    if (v.empty() || v[0] < '0' || v[0] > '9') throw std::invalid_argument(v);
     const std::uint64_t out = std::stoull(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
+    if (pos != v.size() || out > max) throw std::out_of_range(v);
     return out;
   } catch (const std::exception&) {
     usage("bad value for " + flag + ": '" + v + "'");
   }
 }
 
-/// Flags shared by run / submit / replay.
+template <typename T>
+T arg_num(const std::string& flag, const std::string& v) {
+  return static_cast<T>(arg_u64(flag, v, std::numeric_limits<T>::max()));
+}
+
+/// A finite, non-negative decimal; anything else goes to usage().
+double arg_double(const std::string& flag, const std::string& v) {
+  try {
+    std::size_t pos = 0;
+    const double out = std::stod(v, &pos);
+    if (pos != v.size() || !std::isfinite(out) || out < 0.0) {
+      throw std::invalid_argument(v);
+    }
+    return out;
+  } catch (const std::exception&) {
+    usage("bad value for " + flag + ": '" + v + "'");
+  }
+}
+
+/// Flags shared by run / worker / replay.
 struct Cli {
   JobSpec job;
   CoordinatorOptions copt;
@@ -89,7 +102,6 @@ struct Cli {
   std::string out_path;
   std::string health_path;
   std::uint16_t port = 0;
-  std::int64_t id = -1;
   std::vector<std::string> positional;
 };
 
@@ -107,17 +119,15 @@ Cli parse_cli(int argc, char** argv, int first) {
     } else if (a == "--params") {
       c.job.params = json::parse(next("--params"));
     } else if (a == "--configs") {
-      c.job.configs = static_cast<std::size_t>(arg_u64(a, next(a.c_str())));
+      c.job.configs = arg_num<std::size_t>(a, next(a.c_str()));
     } else if (a == "--reps") {
-      c.job.reps = static_cast<std::size_t>(arg_u64(a, next(a.c_str())));
+      c.job.reps = arg_num<std::size_t>(a, next(a.c_str()));
     } else if (a == "--seed") {
       c.job.opt.seed = arg_u64(a, next(a.c_str()));
     } else if (a == "--max-attempts") {
-      c.job.opt.max_attempts =
-          static_cast<unsigned>(arg_u64(a, next(a.c_str())));
+      c.job.opt.max_attempts = arg_num<unsigned>(a, next(a.c_str()));
     } else if (a == "--quarantine-after") {
-      c.job.opt.quarantine_after =
-          static_cast<unsigned>(arg_u64(a, next(a.c_str())));
+      c.job.opt.quarantine_after = arg_num<unsigned>(a, next(a.c_str()));
     } else if (a == "--repro-dir") {
       c.job.opt.repro_dir = next(a.c_str());
     } else if (a == "--collect-violations") {
@@ -125,35 +135,31 @@ Cli parse_cli(int argc, char** argv, int first) {
     } else if (a == "--telemetry-interval") {
       c.job.opt.telemetry_interval = arg_u64(a, next(a.c_str()));
     } else if (a == "--run-deadline-sec") {
-      c.job.opt.run_deadline_sec = std::stod(next(a.c_str()));
+      c.job.opt.run_deadline_sec = arg_double(a, next(a.c_str()));
     } else if (a == "--workers") {
-      c.copt.workers = static_cast<unsigned>(arg_u64(a, next(a.c_str())));
+      c.copt.workers = arg_num<unsigned>(a, next(a.c_str()));
     } else if (a == "--unit-size") {
-      c.copt.unit_size = static_cast<std::size_t>(arg_u64(a, next(a.c_str())));
+      c.copt.unit_size = arg_num<std::size_t>(a, next(a.c_str()));
     } else if (a == "--checkpoint") {
       c.copt.checkpoint_path = next(a.c_str());
     } else if (a == "--checkpoint-every") {
-      c.copt.checkpoint_every =
-          static_cast<std::size_t>(arg_u64(a, next(a.c_str())));
+      c.copt.checkpoint_every = arg_num<std::size_t>(a, next(a.c_str()));
     } else if (a == "--resume") {
       c.copt.resume = true;
     } else if (a == "--retries") {
-      c.copt.unit_retries = static_cast<unsigned>(arg_u64(a, next(a.c_str())));
+      c.copt.unit_retries = arg_num<unsigned>(a, next(a.c_str()));
     } else if (a == "--heartbeat-ms") {
-      c.copt.heartbeat_interval_ms =
-          static_cast<int>(arg_u64(a, next(a.c_str())));
+      c.copt.heartbeat_interval_ms = arg_num<int>(a, next(a.c_str()));
     } else if (a == "--heartbeat-timeout-ms") {
-      c.copt.heartbeat_timeout_ms =
-          static_cast<int>(arg_u64(a, next(a.c_str())));
+      c.copt.heartbeat_timeout_ms = arg_num<int>(a, next(a.c_str()));
     } else if (a == "--progress-timeout-ms") {
-      c.copt.progress_timeout_ms =
-          static_cast<int>(arg_u64(a, next(a.c_str())));
+      c.copt.progress_timeout_ms = arg_num<int>(a, next(a.c_str()));
     } else if (a == "--backoff-ms") {
-      c.copt.backoff_initial_ms = static_cast<int>(arg_u64(a, next(a.c_str())));
+      c.copt.backoff_initial_ms = arg_num<int>(a, next(a.c_str()));
     } else if (a == "--backoff-max-ms") {
-      c.copt.backoff_max_ms = static_cast<int>(arg_u64(a, next(a.c_str())));
+      c.copt.backoff_max_ms = arg_num<int>(a, next(a.c_str()));
     } else if (a == "--respawn-limit") {
-      c.copt.respawn_limit = static_cast<unsigned>(arg_u64(a, next(a.c_str())));
+      c.copt.respawn_limit = arg_num<unsigned>(a, next(a.c_str()));
     } else if (a == "--chaos") {
       c.copt.chaos = json::parse(next(a.c_str()));
     } else if (a == "--worker-bin") {
@@ -169,9 +175,7 @@ Cli parse_cli(int argc, char** argv, int first) {
     } else if (a == "--health") {
       c.health_path = next(a.c_str());
     } else if (a == "--port") {
-      c.port = static_cast<std::uint16_t>(arg_u64(a, next(a.c_str())));
-    } else if (a == "--id") {
-      c.id = static_cast<std::int64_t>(arg_u64(a, next(a.c_str())));
+      c.port = arg_num<std::uint16_t>(a, next(a.c_str()));
     } else if (!a.empty() && a[0] == '-') {
       usage("unknown flag " + a);
     } else {
@@ -318,104 +322,6 @@ int cmd_replay(int argc, char** argv) {
   return reproduced ? 0 : 1;
 }
 
-volatile std::sig_atomic_t g_serve_stop = 0;
-void on_serve_signal(int) { g_serve_stop = 1; }
-
-int cmd_serve(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, 2);
-  mts::campaignd::ServiceOptions opt;
-  opt.port = cli.port;
-  mts::campaignd::Service svc(opt);
-  std::cout << "mts_campaignd: serving on 127.0.0.1:" << svc.port()
-            << std::endl;
-  struct sigaction sa {};
-  sa.sa_handler = on_serve_signal;
-  sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
-  std::atomic<bool> done{false};
-  std::thread watcher([&] {
-    while (!done.load()) {
-      if (g_serve_stop != 0) {
-        svc.stop();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  });
-  svc.serve();
-  done.store(true);
-  watcher.join();
-  return 0;
-}
-
-json::Value request(std::uint16_t port, const json::Value& req) {
-  const mts::campaignd::Fd conn = mts::campaignd::connect_local(port);
-  mts::campaignd::send_all(conn, mts::campaignd::encode_frame(req.dump()));
-  mts::campaignd::FrameDecoder dec;
-  std::vector<std::string> payloads;
-  char buf[65536];
-  while (payloads.empty()) {
-    const std::size_t n = mts::campaignd::recv_some(conn, buf, sizeof buf);
-    if (n == 0) {
-      throw mts::campaignd::NetError("service closed without a response");
-    }
-    dec.feed(buf, n, payloads);
-  }
-  return json::parse(payloads.front());
-}
-
-int cmd_submit(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, 2);
-  if (cli.port == 0) usage("submit requires --port");
-  json::Value req = json::Value::object();
-  req.set("type", json::Value("submit"));
-  req.set("job", mts::campaignd::job_to_json(cli.job));
-  req.set("coordinator",
-          mts::campaignd::coordinator_options_to_json(cli.copt));
-  const json::Value resp = request(cli.port, req);
-  std::cout << resp.dump() << "\n";
-  return resp.get_bool("ok", false) ? 0 : 1;
-}
-
-int cmd_status(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, 2);
-  if (cli.port == 0) usage("status requires --port");
-  json::Value req = json::Value::object();
-  req.set("type", json::Value("status"));
-  const json::Value resp = request(cli.port, req);
-  std::cout << resp.dump() << "\n";
-  return resp.get_bool("ok", false) ? 0 : 1;
-}
-
-int cmd_fetch(int argc, char** argv) {
-  const Cli cli = parse_cli(argc, argv, 2);
-  if (cli.port == 0 || cli.id < 0) usage("fetch requires --port and --id");
-  json::Value req = json::Value::object();
-  req.set("type", json::Value("fetch"));
-  req.set("id", json::Value::number_i64(cli.id));
-  const json::Value resp = request(cli.port, req);
-  if (!resp.get_bool("ok", false)) {
-    std::cerr << resp.dump() << "\n";
-    return 1;
-  }
-  if (const json::Value* campaign = resp.find("campaign")) {
-    if (!cli.out_path.empty()) {
-      write_file(cli.out_path, campaign->dump());
-    } else {
-      std::cout << campaign->dump() << "\n";
-    }
-    if (!cli.health_path.empty()) {
-      if (const json::Value* health = resp.find("health")) {
-        write_file(cli.health_path, health->dump());
-      }
-    }
-  } else {
-    std::cout << resp.dump() << "\n";
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -425,10 +331,6 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmd_run(argc, argv);
     if (cmd == "worker") return cmd_worker(argc, argv);
     if (cmd == "replay") return cmd_replay(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "submit") return cmd_submit(argc, argv);
-    if (cmd == "status") return cmd_status(argc, argv);
-    if (cmd == "fetch") return cmd_fetch(argc, argv);
   } catch (const std::exception& e) {
     std::cerr << "mts_campaignd: " << e.what() << "\n";
     return 2;
