@@ -134,7 +134,7 @@ int main() {
   // mirrored in lockstep with the CPU's confirmed sends.
   bfm::Scoreboard& end_sb = elab->scoreboard(sink);
   std::uint64_t mirrored = 0;
-  sim::on_rise(elab->clock(cpu_dom).out(), [&] {
+  elab->clock(cpu_dom).out().on_rise([&] {
     while (mirrored < elab->source_sent(cpu)) {
       ++mirrored;
       end_sb.push(transform(mirrored & 0xFFFF));

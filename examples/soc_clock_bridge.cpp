@@ -29,7 +29,7 @@ class BusPeripheral {
   BusPeripheral(sim::Simulation& sim, sim::Wire& clk,
                 fifo::MixedClockFifo& fifo, bfm::Scoreboard& sb)
       : sim_(sim), fifo_(fifo), sb_(sb) {
-    sim::on_rise(clk, [this] {
+    clk.on_rise([this] {
       sim_.sched().after(fifo_.config().dm.flop.clk_to_q + 1, [this] {
         // Busy for 8 cycles out of every 40.
         const bool busy = (cycle_ % 40) >= 32;
@@ -37,7 +37,7 @@ class BusPeripheral {
         fifo_.req_get().set(!busy);
       });
     });
-    sim::on_rise(clk, [this] {
+    clk.on_rise([this] {
       if (fifo_.valid_get().read()) {
         sb_.pop_check(fifo_.data_get().read());
         ++received_;

@@ -29,7 +29,7 @@ Fails (exit 1) when any of these regress beyond `tolerance` (default 15%):
     same fifo_cycles workload (smoke vs full are not comparable). The
     armed number is always informational.
 
-When the telemetry JSON pair (BENCH_telemetry.json) is given, two more
+When the telemetry JSON pair (BENCH_telemetry.json) is given, three more
 gates apply:
 
   * fifo_soak.cycles_per_sec_disarmed -- the FIFO soak with the telemetry
@@ -41,6 +41,13 @@ gates apply:
     max(200%, recorded * 2), gated only when both sides measured the same
     fifo_cycles workload (overhead grows with soak length). Sampler
     samples/sec rates are reported informationally.
+  * fifo_soak.allocs_per_million_cycles_disarmed -- steady-state heap
+    allocations of the disarmed FIFO soak must stay under
+    max(recorded * (1 + tolerance), 1e4), gated only when both sides ran
+    the same fifo cycles (a longer soak amortises warm-up allocations
+    differently). The 1e4 floor is 4 allocations in the 400-cycle smoke,
+    so a relapse to per-evaluation allocation (~2e7) fails while a
+    one-off container growth does not.
 """
 import json
 import sys
@@ -166,6 +173,25 @@ def main() -> int:
             else:
                 print(
                     f"telemetry_disarmed_fifo_cycles_per_sec: recorded "
+                    f"{tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
+                    "(informational: workload shapes differ, "
+                    "e.g. smoke vs full)"
+                )
+        key = "allocs_per_million_cycles_disarmed"
+        if key in tel_rec and key in tel_new:
+            if tel_rec.get("cycles") == tel_new.get("cycles"):
+                ceiling = max(tel_rec[key] * (1.0 + tolerance), 1e4)
+                ok = tel_new[key] <= ceiling
+                failed = failed or not ok
+                print(
+                    f"fifo_soak_allocs_per_million_cycles: recorded "
+                    f"{tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
+                    f"(ceiling {ceiling:.3e}) "
+                    f"-> {'OK' if ok else 'REGRESSION'}"
+                )
+            else:
+                print(
+                    f"fifo_soak_allocs_per_million_cycles: recorded "
                     f"{tel_rec[key]:.3e}, fresh {tel_new[key]:.3e} "
                     "(informational: workload shapes differ, "
                     "e.g. smoke vs full)"

@@ -79,8 +79,9 @@ PnStep pn_input_step(const PetriNet& net, PnMarking& m, unsigned signal,
   return step;
 }
 
-PnSweep pn_run_outputs(const PetriNet& net, PnMarking& m) {
-  PnSweep sweep;
+void pn_run_outputs(const PetriNet& net, PnMarking& m, PnSweep& sweep) {
+  sweep.fired.clear();
+  sweep.safe = true;
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -92,14 +93,13 @@ PnSweep pn_run_outputs(const PetriNet& net, PnMarking& m) {
           sweep.safe = false;
           sweep.bad_transition = ti;
           sweep.bad_place = f.bad_place;
-          return sweep;
+          return;
         }
         sweep.fired.push_back(ti);
         progressed = true;
       }
     }
   }
-  return sweep;
 }
 
 PetriEngine::PetriEngine(sim::Simulation& sim, std::string instance,
@@ -126,14 +126,14 @@ void PetriEngine::throw_unsafe(const PnTransition& t, unsigned place) const {
 }
 
 void PetriEngine::run_output_transitions() {
-  const PnSweep sweep = pn_run_outputs(net_, marking_);
-  for (std::size_t ti : sweep.fired) {
+  pn_run_outputs(net_, marking_, sweep_);
+  for (std::size_t ti : sweep_.fired) {
     const PnTransition& t = net_.transitions[ti];
     ++firings_;
     outputs_[t.signal]->write(t.rising, output_delay_, sim::DelayKind::kInertial);
   }
-  if (!sweep.safe) {
-    throw_unsafe(net_.transitions[sweep.bad_transition], sweep.bad_place);
+  if (!sweep_.safe) {
+    throw_unsafe(net_.transitions[sweep_.bad_transition], sweep_.bad_place);
   }
 }
 

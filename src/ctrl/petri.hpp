@@ -86,8 +86,9 @@ struct PnSweep {
 
 /// Eagerly fires enabled output transitions to quiescence, recording each
 /// fired transition's index in firing order (the order the engine writes
-/// its output wires). Stops at the first 1-safety violation.
-PnSweep pn_run_outputs(const PetriNet& net, PnMarking& m);
+/// its output wires). Stops at the first 1-safety violation. `sweep` is
+/// cleared first; reusing one keeps its `fired` capacity across calls.
+void pn_run_outputs(const PetriNet& net, PnMarking& m, PnSweep& sweep);
 
 class PetriEngine {
  public:
@@ -113,6 +114,7 @@ class PetriEngine {
   std::vector<sim::Wire*> outputs_;
   sim::Time output_delay_;
   PnMarking marking_;
+  PnSweep sweep_;  ///< reused by every output sweep
   std::uint64_t firings_ = 0;
 };
 

@@ -81,9 +81,11 @@ AsyncAsyncFifo::AsyncAsyncFifo(sim::Simulation& sim, const std::string& name,
     });
   }
 
-  sim::Wire& put_ack_tree = gates::make_or_tree(nl_, "putAckTree", put_acks, dm);
+  sim::Wire& put_ack_tree =
+      gates::make_tree(nl_, "putAckTree", gates::GateOp::kOr, put_acks, dm);
   put_ack_ = &gates::make_delay(nl_, "put_ack", put_ack_tree, dm.gate(2, 4));
-  sim::Wire& get_ack_tree = gates::make_or_tree(nl_, "getAckTree", get_acks, dm);
+  sim::Wire& get_ack_tree =
+      gates::make_tree(nl_, "getAckTree", gates::GateOp::kOr, get_acks, dm);
   get_ack_ = &gates::make_delay(nl_, "get_ack", get_ack_tree,
                                 dm.tristate_bus(n, cfg_.width));
 }

@@ -139,7 +139,8 @@ AsyncSyncFifo::AsyncSyncFifo(sim::Simulation& sim, const std::string& name,
   // put_ack: a tree of OR gates merges the per-cell acknowledgments
   // (Section 6 experimental setup), driving the global ack wire back to
   // the sender.
-  sim::Wire& ack_tree = gates::make_or_tree(nl_, "ackTree", ack_terms, dm);
+  sim::Wire& ack_tree =
+      gates::make_tree(nl_, "ackTree", gates::GateOp::kOr, ack_terms, dm);
   put_ack_ = &gates::make_delay(nl_, "put_ack", ack_tree, dm.gate(2, 4));
 
   // --- get side: identical block to the mixed-clock design ---

@@ -66,8 +66,8 @@ sim::Wire& build_anticipating_full(gates::Netlist& nl, std::vector<sim::Wire*> e
                                    const gates::DelayModel& dm,
                                    unsigned window) {
   auto runs = window_rank(nl, "fullDet", e, dm, window);
-  sim::Wire& any2 = gates::make_or_tree(nl, "fullDet.or", runs, dm,
-                                        kDetectorArity);
+  sim::Wire& any2 = gates::make_tree(nl, "fullDet.or", gates::GateOp::kOr,
+                                     runs, dm, kDetectorArity);
   return gates::make_gate(nl, "fullDet.full", gates::GateOp::kNot, {&any2}, dm);
 }
 
@@ -75,22 +75,22 @@ sim::Wire& build_anticipating_empty(gates::Netlist& nl, std::vector<sim::Wire*> 
                                     const gates::DelayModel& dm,
                                     unsigned window) {
   auto runs = window_rank(nl, "neDet", f, dm, window);
-  sim::Wire& any2 = gates::make_or_tree(nl, "neDet.or", runs, dm,
-                                        kDetectorArity);
+  sim::Wire& any2 = gates::make_tree(nl, "neDet.or", gates::GateOp::kOr,
+                                     runs, dm, kDetectorArity);
   return gates::make_gate(nl, "neDet.ne", gates::GateOp::kNot, {&any2}, dm);
 }
 
 sim::Wire& build_true_empty(gates::Netlist& nl, std::vector<sim::Wire*> f,
                             const gates::DelayModel& dm) {
-  sim::Wire& any = gates::make_or_tree(nl, "oeDet.or", std::move(f), dm,
-                                       kDetectorArity);
+  sim::Wire& any = gates::make_tree(nl, "oeDet.or", gates::GateOp::kOr,
+                                    std::move(f), dm, kDetectorArity);
   return gates::make_gate(nl, "oeDet.oe", gates::GateOp::kNot, {&any}, dm);
 }
 
 sim::Wire& build_exact_full(gates::Netlist& nl, std::vector<sim::Wire*> e,
                             const gates::DelayModel& dm) {
-  sim::Wire& any_empty = gates::make_or_tree(nl, "exactFull.or", std::move(e),
-                                             dm, kDetectorArity);
+  sim::Wire& any_empty = gates::make_tree(nl, "exactFull.or", gates::GateOp::kOr,
+                                          std::move(e), dm, kDetectorArity);
   return gates::make_gate(nl, "exactFull.full", gates::GateOp::kNot, {&any_empty},
                           dm);
 }

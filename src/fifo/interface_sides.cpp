@@ -139,11 +139,8 @@ SyncGetSide::SyncGetSide(gates::Netlist& nl, sim::Wire& clk_get,
     // stopped; validity gates on the same condition.
     gates::gate_into(nl, "getCtrl", gates::GateOp::kNor, {&empty_w, &stop_in},
                      en_get_raw, dm.gate(2, 2));
-    nl.add<gates::Gate>(
-        sim, nl.qualified("validGate"),
-        std::vector<sim::Wire*>{&valid_bus, &empty_w, &stop_in}, valid_ext,
-        [](const std::vector<bool>& v) { return v[0] && !v[1] && !v[2]; },
-        dm.gate(3));
+    gates::gate_into(nl, "validGate", gates::GateOp::kAndNotRest,
+                     {&valid_bus, &empty_w, &stop_in}, valid_ext, dm.gate(3));
   }
 
   gates::gate_into(nl, "enGetBcast", gates::GateOp::kBuf, {&en_get_raw},

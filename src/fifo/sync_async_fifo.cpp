@@ -125,7 +125,8 @@ SyncAsyncFifo::SyncAsyncFifo(sim::Simulation& sim, const std::string& name,
   // get_ack: OR tree over the per-cell re signals, padded by a matched
   // delay covering the tri-state bus (single-rail bundling constraint: data
   // must be valid when ack rises).
-  sim::Wire& ack_tree = gates::make_or_tree(nl_, "ackTree", ack_terms, dm);
+  sim::Wire& ack_tree =
+      gates::make_tree(nl_, "ackTree", gates::GateOp::kOr, ack_terms, dm);
   get_ack_ = &gates::make_delay(nl_, "get_ack", ack_tree,
                                 dm.tristate_bus(n, cfg_.width));
 

@@ -7,14 +7,68 @@
 
 namespace mts::gates {
 
-Gate::Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> inputs,
-           sim::Wire& out, Func fn, Time delay)
+namespace {
+
+// The fan-in rule `op` breaks with `n` inputs, or nullptr when `n` fits.
+const char* fanin_violation(GateOp op, std::size_t n) {
+  switch (op) {
+    case GateOp::kNot:
+    case GateOp::kBuf:
+      return n == 1 ? nullptr : "exactly 1";
+    case GateOp::kMux:
+      return n == 3 ? nullptr : "exactly 3";
+    case GateOp::kAndNotLast:
+    case GateOp::kOrNotLast:
+    case GateOp::kAndNotRest:
+      return n >= 2 ? nullptr : "at least 2";
+    case GateOp::kAnd:
+    case GateOp::kOr:
+    case GateOp::kNand:
+    case GateOp::kNor:
+    case GateOp::kXor:
+      return n >= 1 ? nullptr : "at least 1";
+  }
+  return "a known op";
+}
+
+bool high(const sim::Wire* w) { return w->read(); }
+
+// The gate evaluator: `op` over the current levels of `in`.
+bool gate_value(GateOp op, const std::vector<sim::Wire*>& in) {
+  const auto first = in.cbegin();
+  const auto last = in.cend();
+  switch (op) {
+    case GateOp::kNot: return !high(in[0]);
+    case GateOp::kBuf: return high(in[0]);
+    case GateOp::kAnd: return std::all_of(first, last, high);
+    case GateOp::kOr: return std::any_of(first, last, high);
+    case GateOp::kNand: return !std::all_of(first, last, high);
+    case GateOp::kNor: return std::none_of(first, last, high);
+    case GateOp::kXor: return std::count_if(first, last, high) % 2 != 0;
+    case GateOp::kAndNotLast:
+      return std::all_of(first, last - 1, high) && !high(in.back());
+    case GateOp::kOrNotLast:
+      return std::any_of(first, last - 1, high) || !high(in.back());
+    case GateOp::kMux: return high(in[0]) ? high(in[1]) : high(in[2]);
+    case GateOp::kAndNotRest:
+      return high(in[0]) && std::none_of(first + 1, last, high);
+  }
+  return false;  // unreachable: the Gate constructor rejects unknown ops
+}
+
+}  // namespace
+
+Gate::Gate(sim::Simulation& sim, std::string name, GateOp op,
+           std::vector<sim::Wire*> inputs, sim::Wire& out, Time delay)
     : name_(std::move(name)),
+      op_(op),
       inputs_(std::move(inputs)),
       out_(out),
-      fn_(std::move(fn)),
       delay_(delay) {
-  MTS_ASSERT(!inputs_.empty(), "gate '" + name_ + "' has no inputs");
+  const char* rule = fanin_violation(op_, inputs_.size());
+  MTS_ASSERT(rule == nullptr, "gate '" + name_ + "' has " +
+                                  std::to_string(inputs_.size()) +
+                                  " inputs; its op takes " + rule);
   for (sim::Wire* in : inputs_) {
     MTS_ASSERT(in != nullptr, "gate '" + name_ + "' has a null input");
     in->on_change([this](bool, bool) { evaluate(); });
@@ -23,62 +77,7 @@ Gate::Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> input
 }
 
 void Gate::evaluate() {
-  std::vector<bool> values;
-  values.reserve(inputs_.size());
-  for (const sim::Wire* in : inputs_) values.push_back(in->read());
-  out_.write(fn_(values), delay_, sim::DelayKind::kInertial);
-}
-
-Gate::Func gate_func(GateOp op) {
-  switch (op) {
-    case GateOp::kNot:
-      return [](const std::vector<bool>& v) { return !v[0]; };
-    case GateOp::kBuf:
-      return [](const std::vector<bool>& v) { return v[0]; };
-    case GateOp::kAnd:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (!b) return false;
-        return true;
-      };
-    case GateOp::kOr:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (b) return true;
-        return false;
-      };
-    case GateOp::kNand:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (!b) return true;
-        return false;
-      };
-    case GateOp::kNor:
-      return [](const std::vector<bool>& v) {
-        for (bool b : v)
-          if (b) return false;
-        return true;
-      };
-    case GateOp::kXor:
-      return [](const std::vector<bool>& v) {
-        bool acc = false;
-        for (bool b : v) acc = acc != b;
-        return acc;
-      };
-    case GateOp::kAndNotLast:
-      return [](const std::vector<bool>& v) {
-        for (std::size_t i = 0; i + 1 < v.size(); ++i)
-          if (!v[i]) return false;
-        return !v.back();
-      };
-    case GateOp::kOrNotLast:
-      return [](const std::vector<bool>& v) {
-        for (std::size_t i = 0; i + 1 < v.size(); ++i)
-          if (v[i]) return true;
-        return !v.back();
-      };
-  }
-  throw ConfigError("unknown GateOp");
+  out_.write(gate_value(op_, inputs_), delay_, sim::DelayKind::kInertial);
 }
 
 Time gate_delay(GateOp op, std::size_t fanin, const DelayModel& dm, unsigned fanout) {
@@ -99,18 +98,15 @@ sim::Wire& make_gate(Netlist& nl, const std::string& name, GateOp op,
 
 Gate& gate_into(Netlist& nl, const std::string& name, GateOp op,
                 std::vector<sim::Wire*> inputs, sim::Wire& out, Time delay) {
-  return nl.add<Gate>(nl.sim(), nl.qualified(name), std::move(inputs), out,
-                      gate_func(op), delay);
+  return nl.add<Gate>(nl.sim(), nl.qualified(name), op, std::move(inputs), out,
+                      delay);
 }
 
 sim::Wire& make_delay(Netlist& nl, const std::string& name, sim::Wire& in, Time delay) {
   sim::Wire& out = nl.wire(name);
-  nl.add<Gate>(nl.sim(), nl.qualified(name), std::vector<sim::Wire*>{&in}, out,
-               gate_func(GateOp::kBuf), delay);
+  gate_into(nl, name, GateOp::kBuf, {&in}, out, delay);
   return out;
 }
-
-namespace {
 
 sim::Wire& make_tree(Netlist& nl, const std::string& name, GateOp op,
                      std::vector<sim::Wire*> inputs, const DelayModel& dm,
@@ -144,8 +140,6 @@ sim::Wire& make_tree(Netlist& nl, const std::string& name, GateOp op,
   return *inputs[0];
 }
 
-}  // namespace
-
 unsigned tree_depth(unsigned leaves, unsigned arity) {
   unsigned depth = 0;
   unsigned reach = 1;
@@ -154,18 +148,6 @@ unsigned tree_depth(unsigned leaves, unsigned arity) {
     ++depth;
   }
   return depth;
-}
-
-sim::Wire& make_or_tree(Netlist& nl, const std::string& name,
-                        std::vector<sim::Wire*> inputs, const DelayModel& dm,
-                        unsigned arity) {
-  return make_tree(nl, name, GateOp::kOr, std::move(inputs), dm, arity);
-}
-
-sim::Wire& make_and_tree(Netlist& nl, const std::string& name,
-                         std::vector<sim::Wire*> inputs, const DelayModel& dm,
-                         unsigned arity) {
-  return make_tree(nl, name, GateOp::kAnd, std::move(inputs), dm, arity);
 }
 
 WordMux::WordMux(sim::Simulation& sim, std::string name, sim::Wire& sel,

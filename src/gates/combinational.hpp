@@ -7,7 +7,6 @@
 // functions whose depth grows with FIFO capacity.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,18 +16,24 @@
 
 namespace mts::gates {
 
-enum class GateOp { kNot, kBuf, kAnd, kOr, kNand, kNor, kXor, kAndNotLast, kOrNotLast };
+/// Gate functions. kAndNotLast computes and(v0..vn-2) & !vn-1 and
+/// kOrNotLast or(v0..vn-2) | !vn-1; kMux computes v0 ? v1 : v2; kAndNotRest
+/// computes v0 & !v1 & !v2 & ...
+enum class GateOp {
+  kNot, kBuf, kAnd, kOr, kNand, kNor, kXor, kAndNotLast, kOrNotLast, kMux,
+  kAndNotRest
+};
 
-/// Generic single-output combinational gate.
+/// Single-output combinational gate: `op` applied to `inputs`.
 class Gate {
  public:
-  using Func = std::function<bool(const std::vector<bool>&)>;
-
   /// `inputs` must stay alive as long as the gate; `delay` is inertial.
-  /// The gate schedules an initial evaluation so outputs settle from the
-  /// initial input values once the simulation starts.
-  Gate(sim::Simulation& sim, std::string name, std::vector<sim::Wire*> inputs,
-       sim::Wire& out, Func fn, Time delay);
+  /// The fan-in must suit `op` (kNot/kBuf: 1, kMux: 3, kAndNotLast/
+  /// kOrNotLast/kAndNotRest: 2 or more, the others: 1 or more). The gate
+  /// schedules an initial evaluation so outputs settle from the initial
+  /// input values once the simulation starts.
+  Gate(sim::Simulation& sim, std::string name, GateOp op,
+       std::vector<sim::Wire*> inputs, sim::Wire& out, Time delay);
 
   Gate(const Gate&) = delete;
   Gate& operator=(const Gate&) = delete;
@@ -40,15 +45,11 @@ class Gate {
   void evaluate();
 
   std::string name_;
+  GateOp op_;
   std::vector<sim::Wire*> inputs_;
   sim::Wire& out_;
-  Func fn_;
   Time delay_;
 };
-
-/// Truth function for `op` (kAndNotLast computes and(ins[0..n-2]) & !ins[n-1];
-/// kOrNotLast likewise with or/!).
-Gate::Func gate_func(GateOp op);
 
 /// Number of logic inputs `op` presents for delay purposes.
 Time gate_delay(GateOp op, std::size_t fanin, const DelayModel& dm, unsigned fanout);
@@ -65,16 +66,11 @@ Gate& gate_into(Netlist& nl, const std::string& name, GateOp op,
 /// Pure delay element (buffer/wire segment) driving a fresh wire.
 sim::Wire& make_delay(Netlist& nl, const std::string& name, sim::Wire& in, Time delay);
 
-/// Balanced tree of `arity`-input OR gates; returns the root wire.
-/// With a single input this is a buffer.
-sim::Wire& make_or_tree(Netlist& nl, const std::string& name,
-                        std::vector<sim::Wire*> inputs, const DelayModel& dm,
-                        unsigned arity = 2);
-
-/// Balanced tree of `arity`-input AND gates; returns the root wire.
-sim::Wire& make_and_tree(Netlist& nl, const std::string& name,
-                         std::vector<sim::Wire*> inputs, const DelayModel& dm,
-                         unsigned arity = 2);
+/// Balanced tree of `arity`-input `op` gates (kAnd or kOr); returns the
+/// root wire. With a single input this is a buffer.
+sim::Wire& make_tree(Netlist& nl, const std::string& name, GateOp op,
+                     std::vector<sim::Wire*> inputs, const DelayModel& dm,
+                     unsigned arity = 2);
 
 /// Number of levels a balanced `arity`-ary tree over `leaves` inputs has.
 unsigned tree_depth(unsigned leaves, unsigned arity);

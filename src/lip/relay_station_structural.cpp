@@ -37,11 +37,8 @@ StructuralRelayStation::StructuralRelayStation(
   nl_.add<gates::WordMux>(sim, nl_.qualified("mrMux"), *aux_occ_, aux_q,
                           in_data, mr_d, dm.gate(2));
   sim::Wire& mr_v_d = nl_.wire("mr_v_d");
-  nl_.add<gates::Gate>(
-      sim, nl_.qualified("mrVMux"),
-      std::vector<sim::Wire*>{aux_occ_, &aux_v, &in_valid}, mr_v_d,
-      [](const std::vector<bool>& v) { return v[0] ? v[1] : v[2]; },
-      dm.gate(3));
+  gates::gate_into(nl_, "mrVMux", gates::GateOp::kMux,
+                   {aux_occ_, &aux_v, &in_valid}, mr_v_d, dm.gate(3));
 
   sim::Word& mr_q = nl_.word("mr");
   sim::Wire& mr_v = nl_.wire("mr_v");

@@ -94,8 +94,8 @@ struct Harness {
                                 std::vector<sim::Wire*>{we[k], re[k]},
                                 std::vector<sim::Wire*>{e[k], f[k]}, kDelay);
     }
-    put_ack = &gates::make_or_tree(nl, "put_ack", we, dm);
-    get_ack = &gates::make_or_tree(nl, "get_ack", re, dm);
+    put_ack = &gates::make_tree(nl, "put_ack", gates::GateOp::kOr, we, dm);
+    get_ack = &gates::make_tree(nl, "get_ack", gates::GateOp::kOr, re, dm);
     full_raw = &fifo::build_anticipating_full(nl, e, dm, cfg.full_window);
     ne_raw = &fifo::build_anticipating_empty(nl, f, dm, cfg.ne_window);
 

@@ -242,7 +242,8 @@ void RingModel::step_dv(RingState& s, unsigned cell, unsigned input,
              "' violates 1-safety at place " + std::to_string(step.bad_place)});
     return;
   }
-  const ctrl::PnSweep sweep = ctrl::pn_run_outputs(cfg_.dv, s.dv[cell]);
+  ctrl::PnSweep sweep;
+  ctrl::pn_run_outputs(cfg_.dv, s.dv[cell], sweep);
   for (std::size_t ti : sweep.fired) {
     const ctrl::PnTransition& t = cfg_.dv.transitions[ti];
     schedule_level(s, t.signal == 0 ? e_index(cell) : f_index(cell), t.rising,

@@ -218,18 +218,4 @@ using Wire = Signal<bool>;
 /// A word-level data bus (the datapath is modelled at word granularity).
 using Word = Signal<std::uint64_t>;
 
-/// Invokes `fn` on every rising edge of `w`.
-/// Compatibility shim for pre-member-API call sites; new code should call
-/// `w.on_rise(fn)` directly.
-template <typename F>
-inline void on_rise(Wire& w, F&& fn) {
-  w.on_rise(std::forward<F>(fn));
-}
-
-/// Invokes `fn` on every falling edge of `w`.
-template <typename F>
-inline void on_fall(Wire& w, F&& fn) {
-  w.on_fall(std::forward<F>(fn));
-}
-
 }  // namespace mts::sim

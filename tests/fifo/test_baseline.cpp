@@ -53,7 +53,7 @@ TEST(BaselineShiftFifo, DeliversInAscendingOrder) {
   std::uint64_t last = 0;
   unsigned received = 0;
   unsigned order_errors = 0;
-  sim::on_rise(h.cg.out(), [&] {
+  h.cg.out().on_rise([&] {
     if (!h.dut.valid_get().read()) return;
     const std::uint64_t v = h.dut.data_get().read();
     if (v <= last) ++order_errors;

@@ -42,7 +42,7 @@ TEST(ProtocolOutcomes, AllThreeGetOutcomesObservable) {
   // the same cycle, after the synchronizers have updated.
   const Time flag_settle = cfg.dm.flop.clk_to_q + cfg.dm.gate(2, 2) +
                            cfg.dm.gate(2) + 50;
-  sim::on_rise(cg.out(), [&] {
+  cg.out().on_rise([&] {
     if (!requesting) return;
     const bool valid = dut.valid_get().read();
     sim.sched().after(flag_settle, [&, valid] {
@@ -96,7 +96,7 @@ TEST(ProtocolOutcomes, ValidNeverAssertedWithoutRequest) {
                          dut.full(), cfg.dm, {1.0, 1}, 0xFF);
   // No get requests at all: valid_get must stay low at every get edge.
   unsigned spurious = 0;
-  sim::on_rise(cg.out(), [&] {
+  cg.out().on_rise([&] {
     if (dut.valid_get().read()) ++spurious;
   });
   sim.run_until(4 * pp + 200 * pp);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gate_reference.hpp"
 #include "gates/netlist.hpp"
 #include "sim/simulation.hpp"
 
@@ -17,27 +18,37 @@ struct Fixture {
   DelayModel dm = DelayModel::hp06();
 };
 
+// Pins the test oracle (gate_reference.hpp) to hand-written rows; the
+// GateOpProperty suite checks the simulated gates against that oracle.
 TEST(GateFunc, TruthTables) {
-  auto v = [](std::initializer_list<bool> bits) { return std::vector<bool>(bits); };
-  EXPECT_TRUE(gate_func(GateOp::kNot)(v({false})));
-  EXPECT_FALSE(gate_func(GateOp::kNot)(v({true})));
-  EXPECT_TRUE(gate_func(GateOp::kBuf)(v({true})));
-  EXPECT_TRUE(gate_func(GateOp::kAnd)(v({true, true, true})));
-  EXPECT_FALSE(gate_func(GateOp::kAnd)(v({true, false, true})));
-  EXPECT_TRUE(gate_func(GateOp::kOr)(v({false, true})));
-  EXPECT_FALSE(gate_func(GateOp::kOr)(v({false, false})));
-  EXPECT_TRUE(gate_func(GateOp::kNand)(v({true, false})));
-  EXPECT_FALSE(gate_func(GateOp::kNand)(v({true, true})));
-  EXPECT_TRUE(gate_func(GateOp::kNor)(v({false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kNor)(v({true, false})));
-  EXPECT_TRUE(gate_func(GateOp::kXor)(v({true, false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kXor)(v({true, true})));
+  EXPECT_TRUE(reference_gate(GateOp::kNot, {false}));
+  EXPECT_FALSE(reference_gate(GateOp::kNot, {true}));
+  EXPECT_TRUE(reference_gate(GateOp::kBuf, {true}));
+  EXPECT_TRUE(reference_gate(GateOp::kAnd, {true, true, true}));
+  EXPECT_FALSE(reference_gate(GateOp::kAnd, {true, false, true}));
+  EXPECT_TRUE(reference_gate(GateOp::kOr, {false, true}));
+  EXPECT_FALSE(reference_gate(GateOp::kOr, {false, false}));
+  EXPECT_TRUE(reference_gate(GateOp::kNand, {true, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kNand, {true, true}));
+  EXPECT_TRUE(reference_gate(GateOp::kNor, {false, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kNor, {true, false}));
+  EXPECT_TRUE(reference_gate(GateOp::kXor, {true, false, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kXor, {true, true}));
   // a & b & !c
-  EXPECT_TRUE(gate_func(GateOp::kAndNotLast)(v({true, true, false})));
-  EXPECT_FALSE(gate_func(GateOp::kAndNotLast)(v({true, true, true})));
+  EXPECT_TRUE(reference_gate(GateOp::kAndNotLast, {true, true, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kAndNotLast, {true, true, true}));
   // a | b | !c
-  EXPECT_TRUE(gate_func(GateOp::kOrNotLast)(v({false, false, false})));
-  EXPECT_FALSE(gate_func(GateOp::kOrNotLast)(v({false, false, true})));
+  EXPECT_TRUE(reference_gate(GateOp::kOrNotLast, {false, false, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kOrNotLast, {false, false, true}));
+  // s ? a : b
+  EXPECT_TRUE(reference_gate(GateOp::kMux, {true, true, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kMux, {true, false, true}));
+  EXPECT_TRUE(reference_gate(GateOp::kMux, {false, false, true}));
+  EXPECT_FALSE(reference_gate(GateOp::kMux, {false, true, false}));
+  // a & !b & !c
+  EXPECT_TRUE(reference_gate(GateOp::kAndNotRest, {true, false, false}));
+  EXPECT_FALSE(reference_gate(GateOp::kAndNotRest, {true, false, true}));
+  EXPECT_FALSE(reference_gate(GateOp::kAndNotRest, {false, false, false}));
 }
 
 TEST(Gate, EvaluatesAfterDelay) {
@@ -86,8 +97,33 @@ TEST(Gate, InertialFiltersGlitch) {
 TEST(Gate, NoInputsRejected) {
   Fixture f;
   Wire& out = f.nl.wire("o");
-  EXPECT_THROW(f.nl.add<Gate>(f.sim, "bad", std::vector<Wire*>{}, out,
-                              gate_func(GateOp::kAnd), 10),
+  EXPECT_THROW(
+      f.nl.add<Gate>(f.sim, "bad", GateOp::kAnd, std::vector<Wire*>{}, out, 10),
+      AssertionError);
+}
+
+TEST(Gate, WrongFanInRejected) {
+  Fixture f;
+  Wire& a = f.nl.wire("a");
+  Wire& b = f.nl.wire("b");
+  Wire& c = f.nl.wire("c");
+  Wire& d = f.nl.wire("d");
+  Wire& out = f.nl.wire("o");
+  EXPECT_THROW(gate_into(f.nl, "not2", GateOp::kNot, {&a, &b}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "buf2", GateOp::kBuf, {&a, &b}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "mux2", GateOp::kMux, {&a, &b}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "mux4", GateOp::kMux, {&a, &b, &c, &d}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "anl1", GateOp::kAndNotLast, {&a}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "onl1", GateOp::kOrNotLast, {&a}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "anr1", GateOp::kAndNotRest, {&a}, out, 10),
+               AssertionError);
+  EXPECT_THROW(gate_into(f.nl, "xor0", GateOp::kXor, {}, out, 10),
                AssertionError);
 }
 
@@ -95,7 +131,7 @@ TEST(OrTree, WideOrComputesAnyAndScalesDepth) {
   Fixture f;
   std::vector<Wire*> leaves;
   for (int i = 0; i < 16; ++i) leaves.push_back(&f.nl.wire("l" + std::to_string(i)));
-  Wire& root = make_or_tree(f.nl, "or16", leaves, f.dm);
+  Wire& root = make_tree(f.nl, "or16", GateOp::kOr, leaves, f.dm);
   f.sim.run_until(5000);
   EXPECT_FALSE(root.read());
   leaves[11]->set(true);
@@ -109,7 +145,7 @@ TEST(OrTree, WideOrComputesAnyAndScalesDepth) {
 TEST(AndTree, SingleInputActsAsBuffer) {
   Fixture f;
   Wire& a = f.nl.wire("a");
-  Wire& root = make_and_tree(f.nl, "and1", {&a}, f.dm);
+  Wire& root = make_tree(f.nl, "and1", GateOp::kAnd, {&a}, f.dm);
   f.sim.run_until(1000);
   a.set(true);
   f.sim.run_until(2000);
@@ -121,7 +157,7 @@ TEST(AndTree, OddInputCount) {
   std::vector<Wire*> leaves;
   for (int i = 0; i < 5; ++i)
     leaves.push_back(&f.nl.wire("l" + std::to_string(i), true));
-  Wire& root = make_and_tree(f.nl, "and5", leaves, f.dm);
+  Wire& root = make_tree(f.nl, "and5", GateOp::kAnd, leaves, f.dm);
   f.sim.run_until(5000);
   EXPECT_TRUE(root.read());
   leaves[4]->set(false);

@@ -1,11 +1,13 @@
 // Property tests for the gate library: trees of any arity/size must equal
 // the flat reduction of their inputs for random patterns, and every GateOp
-// must match its reference function across random vectors.
+// must match its reference function (gate_reference.hpp) on every input
+// pattern.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <sstream>
 
+#include "gate_reference.hpp"
 #include "gates/combinational.hpp"
 #include "gates/netlist.hpp"
 #include "sim/simulation.hpp"
@@ -31,8 +33,8 @@ TEST_P(TreeProperty, MatchesFlatReductionOnRandomPatterns) {
   for (unsigned i = 0; i < p.leaves; ++i) {
     leaves.push_back(&nl.wire("l" + std::to_string(i)));
   }
-  sim::Wire& root = p.is_or ? make_or_tree(nl, "tree", leaves, dm, p.arity)
-                            : make_and_tree(nl, "tree", leaves, dm, p.arity);
+  sim::Wire& root = make_tree(nl, "tree", p.is_or ? GateOp::kOr : GateOp::kAnd,
+                              leaves, dm, p.arity);
 
   std::mt19937 rng(7);
   for (int trial = 0; trial < 64; ++trial) {
@@ -88,7 +90,6 @@ TEST_P(GateOpProperty, SimulatedGateMatchesTruthFunction) {
     ins.push_back(&nl.wire("i" + std::to_string(i)));
   }
   sim::Wire& out = make_gate(nl, "g", op, ins, dm);
-  const Gate::Func ref = gate_func(op);
 
   for (unsigned pattern = 0; pattern < (1u << fanin); ++pattern) {
     std::vector<bool> values;
@@ -98,7 +99,7 @@ TEST_P(GateOpProperty, SimulatedGateMatchesTruthFunction) {
       values.push_back(v);
     }
     sim.run_until(sim.now() + 10'000);
-    EXPECT_EQ(out.read(), ref(values)) << "pattern " << pattern;
+    EXPECT_EQ(out.read(), reference_gate(op, values)) << "pattern " << pattern;
   }
 }
 
@@ -106,7 +107,8 @@ INSTANTIATE_TEST_SUITE_P(
     Ops, GateOpProperty,
     ::testing::Values(GateOp::kNot, GateOp::kBuf, GateOp::kAnd, GateOp::kOr,
                       GateOp::kNand, GateOp::kNor, GateOp::kXor,
-                      GateOp::kAndNotLast, GateOp::kOrNotLast),
+                      GateOp::kAndNotLast, GateOp::kOrNotLast, GateOp::kMux,
+                      GateOp::kAndNotRest),
     [](const ::testing::TestParamInfo<GateOp>& info) {
       switch (info.param) {
         case GateOp::kNot: return std::string("Not");
@@ -118,6 +120,8 @@ INSTANTIATE_TEST_SUITE_P(
         case GateOp::kXor: return std::string("Xor");
         case GateOp::kAndNotLast: return std::string("AndNotLast");
         case GateOp::kOrNotLast: return std::string("OrNotLast");
+        case GateOp::kMux: return std::string("Mux");
+        case GateOp::kAndNotRest: return std::string("AndNotRest");
       }
       return std::string("Unknown");
     });

@@ -46,7 +46,7 @@ TEST(StructuralRelayStation, LockstepEquivalentToBehaviouralModel) {
   // both instances see identical inputs -- their stopOut wires are only
   // compared, not consumed).
   std::uint64_t next = 1;
-  sim::on_rise(clk.out(), [&] {
+  clk.out().on_rise([&] {
     const bool valid = (next % 3) != 0;  // mix of valid and void packets
     in_d.write(next & 0xFF, dm.flop.clk_to_q, sim::DelayKind::kInertial);
     in_v.write(valid, dm.flop.clk_to_q, sim::DelayKind::kInertial);
@@ -54,7 +54,7 @@ TEST(StructuralRelayStation, LockstepEquivalentToBehaviouralModel) {
   });
   // Stall pattern: deterministic bursts.
   std::uint64_t cycle = 0;
-  sim::on_rise(clk.out(), [&] {
+  clk.out().on_rise([&] {
     const bool s = (cycle % 11) >= 7 || (cycle % 23) == 3;
     ++cycle;
     stall.write(s, dm.flop.clk_to_q, sim::DelayKind::kInertial);
@@ -63,7 +63,7 @@ TEST(StructuralRelayStation, LockstepEquivalentToBehaviouralModel) {
   // Lockstep comparison at every edge after a warmup.
   unsigned mismatches = 0;
   unsigned compared = 0;
-  sim::on_rise(clk.out(), [&] {
+  clk.out().on_rise([&] {
     if (sim.now() < 6 * period) return;
     ++compared;
     if (out_v_beh.read() != out_v_str.read()) ++mismatches;
@@ -130,7 +130,7 @@ TEST(StructuralRelayStation, StallParksAndDrains) {
   bool stall_now = true;
   bool prev_stop = true;
   std::uint64_t received = 0;
-  sim::on_rise(clk.out(), [&] {
+  clk.out().on_rise([&] {
     if (!prev_stop && out_v.read()) {
       sb.pop_check(out_d.read());
       ++received;

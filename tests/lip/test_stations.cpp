@@ -129,7 +129,7 @@ TEST(AsRelayStationTest, EmitsInvalidPacketsWhenEmpty) {
   AsRelayStation rs(sim, "rs", cfg, cg.out());
   // No sender: valid_get must stay low on every cycle (Fig. 16).
   unsigned valid_edges = 0;
-  sim::on_rise(cg.out(), [&] {
+  cg.out().on_rise([&] {
     if (rs.packet_out_valid().read()) ++valid_edges;
   });
   sim.run_until(4 * gp + 100 * gp);

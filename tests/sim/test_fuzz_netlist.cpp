@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "../gates/gate_reference.hpp"
 #include "gates/combinational.hpp"
 #include "gates/netlist.hpp"
 #include "sim/simulation.hpp"
@@ -35,7 +36,9 @@ TEST_P(NetlistFuzz, RandomDagSettlesToReferenceValues) {
                                gates::GateOp::kOr,   gates::GateOp::kNand,
                                gates::GateOp::kNor,  gates::GateOp::kXor,
                                gates::GateOp::kAndNotLast,
-                               gates::GateOp::kOrNotLast};
+                               gates::GateOp::kOrNotLast,
+                               gates::GateOp::kMux,
+                               gates::GateOp::kAndNotRest};
 
   // Primary inputs.
   std::vector<sim::Wire*> primaries;
@@ -48,8 +51,9 @@ TEST_P(NetlistFuzz, RandomDagSettlesToReferenceValues) {
   for (std::size_t g = 0; g < kGates; ++g) {
     Node node;
     node.op = ops[rng() % std::size(ops)];
-    const std::size_t fanin =
-        (node.op == gates::GateOp::kNot) ? 1 : 2 + rng() % 2;
+    const std::size_t fanin = node.op == gates::GateOp::kNot   ? 1
+                              : node.op == gates::GateOp::kMux ? 3
+                                                               : 2 + rng() % 2;
     const std::size_t available = kPrimary + g;
     std::vector<sim::Wire*> in_wires;
     for (std::size_t i = 0; i < fanin; ++i) {
@@ -76,7 +80,7 @@ TEST_P(NetlistFuzz, RandomDagSettlesToReferenceValues) {
     for (std::size_t g = 0; g < kGates; ++g) {
       std::vector<bool> ins;
       for (std::size_t idx : nodes[g].inputs) ins.push_back(values[idx]);
-      values[kPrimary + g] = gates::gate_func(nodes[g].op)(ins);
+      values[kPrimary + g] = gates::reference_gate(nodes[g].op, ins);
       EXPECT_EQ(nodes[g].wire->read(), values[kPrimary + g])
           << "seed " << GetParam() << " trial " << trial << " gate " << g;
     }

@@ -90,8 +90,8 @@ TEST(Signal, EdgeHelpers) {
   Simulation sim;
   Wire w(sim, "w");
   int rises = 0, falls = 0;
-  on_rise(w, [&] { ++rises; });
-  on_fall(w, [&] { ++falls; });
+  w.on_rise([&] { ++rises; });
+  w.on_fall([&] { ++falls; });
   w.set(true);
   w.set(false);
   w.set(true);

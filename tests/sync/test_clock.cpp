@@ -15,7 +15,7 @@ TEST(Clock, RisesAtPhaseAndEveryPeriod) {
   sim::Simulation sim;
   Clock clk(sim, "clk", {1000, 500, 0.5, 0});
   std::vector<Time> rises;
-  sim::on_rise(clk.out(), [&] { rises.push_back(sim.now()); });
+  clk.out().on_rise([&] { rises.push_back(sim.now()); });
   sim.run_until(4600);
   ASSERT_EQ(rises.size(), 5u);
   EXPECT_EQ(rises[0], 500u);
@@ -28,7 +28,7 @@ TEST(Clock, DutyCycleControlsHighTime) {
   sim::Simulation sim;
   Clock clk(sim, "clk", {1000, 0, 0.25, 0});
   std::vector<Time> falls;
-  sim::on_fall(clk.out(), [&] { falls.push_back(sim.now()); });
+  clk.out().on_fall([&] { falls.push_back(sim.now()); });
   sim.run_until(2100);
   ASSERT_GE(falls.size(), 2u);
   EXPECT_EQ(falls[0], 250u);
@@ -49,7 +49,7 @@ TEST(Clock, JitterPerturbsPeriodsWithinBound) {
   sim::Simulation sim(7);
   Clock clk(sim, "clk", {1000, 0, 0.5, 100});
   std::vector<Time> rises;
-  sim::on_rise(clk.out(), [&] { rises.push_back(sim.now()); });
+  clk.out().on_rise([&] { rises.push_back(sim.now()); });
   sim.run_until(50000);
   ASSERT_GE(rises.size(), 20u);
   bool any_jitter = false;
