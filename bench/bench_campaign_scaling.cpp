@@ -46,9 +46,7 @@ std::string campaign_doc(unsigned workers, std::size_t configs,
   opt.seed = 99;
   opt.capture_run_reports = true;
   sim::Campaign campaign(configs, reps, opt);
-  campaign.run([cycles](sim::CampaignContext& ctx) {
-    benchwork::fifo_soak_body(ctx, cycles);
-  });
+  campaign.run(benchwork::fifo_soak(cycles)->body());
   return campaign.to_json(/*include_host_stats=*/false);
 }
 
@@ -73,9 +71,7 @@ HealthDoc campaign_health(unsigned workers, std::size_t configs,
   opt.slo.percentile = 0.99;
   opt.slo.budget = 1e9;  // generous: record worst, don't fail runs
   sim::Campaign campaign(configs, reps, opt);
-  campaign.run([cycles](sim::CampaignContext& ctx) {
-    benchwork::fifo_soak_body(ctx, cycles);
-  });
+  campaign.run(benchwork::fifo_soak(cycles)->body());
   if (workers == 1) campaign.write_health_json("campaign_health.json");
   return HealthDoc{campaign.health_json(),
                    campaign.merged_timeline().to_jsonl()};

@@ -1,58 +1,35 @@
-// Shared campaign workload for the scaling benches: a representative
-// mixed-clock FIFO soak, sized so one run is a few milliseconds of host
-// time -- long enough that per-run campaign overhead (reset, dispatch,
-// merge) is a rounding error, short enough that a scaling sweep over
-// {1,2,4,8} workers finishes in seconds. Both bench_kernel_perf's campaign
-// section and bench_campaign_scaling fan this body, so their runs/sec
-// numbers are directly comparable.
+// Shared campaign workload for the scaling benches: campaignd's fifo_soak
+// workload (a representative mixed-clock FIFO soak, coverage off), sized so
+// one run is a few milliseconds of host time -- long enough that per-run
+// campaign overhead (reset, dispatch, fold) is a rounding error, short
+// enough that a scaling sweep over {1,2,4,8} workers finishes in seconds.
+// Both bench_kernel_perf's campaign section and bench_campaign_scaling fan
+// this body, and the multi-process section runs the same workload by name,
+// so their runs/sec numbers are directly comparable.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
-#include "bfm/bfm.hpp"
-#include "fifo/fifo.hpp"
+#include "campaignd/json.hpp"
+#include "campaignd/workload.hpp"
 #include "sim/campaign.hpp"
-#include "sync/clock.hpp"
 
 namespace mts::benchwork {
 
-/// One campaign run: capacity cycles through {4, 8, 16} with the config
-/// index, traffic rates derive from the campaign-assigned per-run seed.
-/// Cheap, allocation-free after each worker's first run, and exercises the
-/// same clock/FIFO/driver stack as the real sweeps.
-inline void fifo_soak_body(sim::CampaignContext& ctx, unsigned cycles) {
-  constexpr unsigned kCaps[] = {4, 8, 16};
-  fifo::FifoConfig cfg;
-  cfg.capacity = kCaps[ctx.spec().config % 3];
-  cfg.width = 8;
-
-  sim::Simulation& sim = ctx.sim();
-  const std::uint64_t seed = ctx.spec().seed;
-  const double put_rate = 0.5 + 0.5 * static_cast<double>(seed % 101) / 100.0;
-  const double get_rate =
-      0.5 + 0.5 * static_cast<double>((seed >> 16) % 101) / 100.0;
-
-  const sim::Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
-  const sim::Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
-  sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-  sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3 + seed % 7, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::PutMonitor pm(sim, cp.out(), dut.en_put(), dut.req_put(),
-                     dut.data_put(), sb);
-  bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
-  bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(), dut.data_put(),
-                         dut.full(), cfg.dm, {put_rate, 1}, 0xFF);
-  bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
-                         {get_rate, 1});
-
-  sim.run_until(4 * pp + static_cast<sim::Time>(cycles) * pp);
-  ctx.set("errors", static_cast<double>(sb.errors()));
-  ctx.set("dequeued", static_cast<double>(gm.dequeued()));
+/// campaignd::make_workload("fifo_soak", {"cycles": cycles, "coverage":
+/// false}): capacity cycles through {4, 8, 16} with the config index,
+/// traffic rates derive from the campaign-assigned per-run seed. Keep the
+/// workload alive while a Campaign runs its body().
+inline std::unique_ptr<campaignd::Workload> fifo_soak(unsigned cycles) {
+  campaignd::json::Value params = campaignd::json::Value::object();
+  params.set("cycles", campaignd::json::Value::number_u64(cycles));
+  params.set("coverage", campaignd::json::Value(false));
+  return campaignd::make_workload("fifo_soak", params);
 }
 
-/// Runs a `configs` x `reps` campaign of fifo_soak_body at the given
-/// worker count and returns the measured runs/sec.
+/// Runs a `configs` x `reps` campaign of the fifo_soak workload at the
+/// given worker count and returns the measured runs/sec.
 inline double measure_campaign_runs_per_sec(unsigned workers,
                                             std::size_t configs,
                                             std::size_t reps,
@@ -61,8 +38,8 @@ inline double measure_campaign_runs_per_sec(unsigned workers,
   opt.workers = workers;
   opt.seed = 99;
   sim::Campaign campaign(configs, reps, opt);
-  campaign.run(
-      [cycles](sim::CampaignContext& ctx) { fifo_soak_body(ctx, cycles); });
+  const std::unique_ptr<campaignd::Workload> wl = fifo_soak(cycles);
+  campaign.run(wl->body());
   return campaign.runs_per_sec();
 }
 

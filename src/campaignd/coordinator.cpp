@@ -96,74 +96,20 @@ json::Value result_record(const sim::RunResult& r) {
   return rec;
 }
 
-/// The shared finalize step: restores each record (run-index order) into
-/// fresh objects and merges them in, then appends the failure/SLO
-/// manifests and the ledger's quarantined configs.
-void fold_records(const JobSpec& job,
-                  const std::map<std::size_t, json::Value>& records,
-                  const sim::ConfigLedger& ledger,
-                  Coordinator::Outcome& out) {
-  out.configs = job.configs;
-  out.reps = job.reps;
-  out.seed = job.opt.seed;
-  out.slo = job.opt.slo;
-  for (const auto& [index, rec] : records) {
-    (void)index;
-    out.results.push_back(run_result_from_json(rec.at("result")));
-    // Restore each snapshot into a FRESH object and merge() it in: merge
-    // is the engine's reduction (counters add, gauges max, entries append
-    // under the cap); restoring straight into the accumulator would give
-    // replace semantics instead.
-    if (const json::Value* v = rec.find("report")) {
-      sim::Report tmp;
-      report_from_json(*v, tmp);
-      out.report.merge(tmp);
-    }
-    if (const json::Value* v = rec.find("registry")) {
-      metrics::Registry tmp;
-      registry_from_json(*v, tmp);
-      out.metrics.merge(tmp);
-    }
-    if (const json::Value* v = rec.find("coverage")) {
-      metrics::Coverage tmp;
-      coverage_from_json(*v, tmp);
-      out.coverage.merge(tmp);
-    }
-    if (const json::Value* v = rec.find("timeline")) {
-      metrics::TimeSeriesStore tmp;
-      timeline_from_json(*v, tmp);
-      out.timeline.merge(tmp);
-    }
+/// Decodes one record (wire payload or checkpoint entry) and folds it:
+/// the run into the campaign fold, its coverage delta beside it.
+void fold_record(const json::Value& rec, Coordinator::Outcome& out) {
+  sim::RunRecord run;
+  run_record_from_json(rec, run);
+  out.fold(std::move(run));
+  if (const json::Value* v = rec.find("coverage")) {
+    metrics::Coverage delta;
+    coverage_from_json(*v, delta);
+    out.coverage.merge(delta);
   }
-  sim::append_campaign_manifests(out.results, job.reps, job.opt.slo,
-                                 out.report);
-  out.quarantined_configs = ledger.quarantined_configs();
-}
-
-sim::CampaignArtifacts artifacts_of(const Coordinator::Outcome& o) {
-  sim::CampaignArtifacts a;
-  a.configs = o.configs;
-  a.reps = o.reps;
-  a.seed = o.seed;
-  a.results = &o.results;
-  a.report = &o.report;
-  a.metrics = &o.metrics;
-  a.quarantined_configs = &o.quarantined_configs;
-  a.slo = o.slo;
-  a.workers = o.workers_used;
-  a.wall_seconds = o.wall_seconds;
-  return a;
 }
 
 }  // namespace
-
-std::string Coordinator::Outcome::to_json(bool include_host_stats) const {
-  return sim::campaign_json(artifacts_of(*this), include_host_stats);
-}
-
-std::string Coordinator::Outcome::health_json(bool include_host_stats) const {
-  return sim::campaign_health_json(artifacts_of(*this), include_host_stats);
-}
 
 // ---------------------------------------------------------------------------
 // The sequential in-process oracle
@@ -171,33 +117,24 @@ std::string Coordinator::Outcome::health_json(bool include_host_stats) const {
 
 void run_local(const JobSpec& job, Coordinator::Outcome& out) {
   const auto t0 = Clock::now();
+  out.begin(job.configs, job.reps, job.opt);
   const std::vector<std::size_t> targets = run_targets(job);
   std::unique_ptr<Workload> wl = make_workload(job.workload, job.params);
   const sim::Campaign::Body body = wl->body();
   sim::RunShard shard(job.opt);
   sim::ConfigLedger ledger(job.configs, job.opt.quarantine_after);
 
-  std::map<std::size_t, json::Value> records;
   for (std::size_t index : targets) {
-    const sim::RunSpec spec =
-        sim::campaign_run_spec(job.opt.seed, job.reps, index);
-    if (ledger.quarantined(spec.config)) {
-      records.emplace(index, result_record(sim::quarantined_run(
-                                 spec, job.opt.quarantine_after)));
-      continue;
-    }
-    shard.registry.clear();
     wl->begin_run();
-    sim::RunResult r;
-    sim::Report report;
-    metrics::TimeSeriesStore timeline;
-    sim::execute_run(shard, job.opt, spec, 0, body, r, &report, &timeline);
-    sim::handle_failed_run(job.opt, job.configs, job.reps, spec, r, &ledger);
-    records.emplace(index, make_run_record(r, report, shard.registry,
-                                           wl->coverage(), timeline));
+    sim::RunRecord rec;
+    const bool executed = sim::run_step(shard, job.opt, job.configs, job.reps,
+                                        index, 0, body, &ledger, rec);
+    out.fold(std::move(rec));
+    if (executed && wl->coverage() != nullptr) {
+      out.coverage.merge(*wl->coverage());
+    }
   }
-  fold_records(job, records, ledger, out);
-  out.workers_used = 1;
+  out.finish(ledger.quarantined_configs());
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
@@ -902,6 +839,7 @@ void Coordinator::install_signal_handlers() {
 
 void Coordinator::run(Outcome& out) {
   const auto t0 = Clock::now();
+  out.begin(job_.configs, job_.reps, job_.opt);
   Impl impl(*this, job_, opt_);
   impl.setup();
   bool interrupted = false;
@@ -913,10 +851,11 @@ void Coordinator::run(Outcome& out) {
   }
   impl.teardown(interrupted);
 
-  fold_records(job_, impl.records, impl.ledger, out);
+  for (const auto& entry : impl.records) fold_record(entry.second, out);
+  out.finish(impl.ledger.quarantined_configs());
   out.quarantined_units = impl.quarantined_units;
   out.interrupted = interrupted;
-  out.workers_used = opt_.workers == 0 ? 1 : opt_.workers;
+  out.workers = static_cast<unsigned>(impl.slots.size());
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
 

@@ -6,11 +6,13 @@
 // (fork/exec of this binary's `worker` subcommand, or any command with a
 // {port} placeholder), and dispatches units over a length-prefixed
 // TCP/JSON protocol on 127.0.0.1. Every completed run returns a snapshot
-// record; at finalize the records are REFOLDED in run-index order with the
-// engine's own merge() machinery, so the merged report / metrics /
-// coverage / timeline -- and the rendered campaign + health JSON -- are
-// byte-identical to the sequential in-process run (run_local is that
-// oracle, sharing executor, record construction and fold).
+// record; at finalize each record is decoded back into a sim::RunRecord
+// and folded in run-index order by the engine's own sim::CampaignOutcome,
+// so the merged report / metrics / coverage / timeline -- and the rendered
+// campaign + health JSON -- are byte-identical to the sequential
+// in-process run (run_local, which folds its records without the JSON
+// hop; the chaos suite diffs the two, testing the snapshot codec end to
+// end).
 //
 // Fault tolerance:
 //   * Crash detection: worker EOF / nonzero exit / signal death, a lost
@@ -47,10 +49,7 @@
 
 #include "campaignd/json.hpp"
 #include "metrics/coverage.hpp"
-#include "metrics/registry.hpp"
-#include "metrics/timeseries.hpp"
 #include "sim/campaign.hpp"
-#include "sim/report.hpp"
 
 namespace mts::campaignd {
 
@@ -120,35 +119,12 @@ struct CoordinatorOptions {
 
 class Coordinator {
  public:
-  /// The campaign's merged artifacts, refolded from per-run records in
-  /// run-index order. Non-copyable (Coverage is).
-  struct Outcome {
-    std::vector<sim::RunResult> results;  ///< run-index order
-    sim::Report report;
-    metrics::Registry metrics;
-    metrics::Coverage coverage;
-    metrics::TimeSeriesStore timeline;
-    std::vector<std::size_t> quarantined_configs;  ///< engine semantics
-    std::vector<std::int64_t> quarantined_units;   ///< campaignd semantics
+  /// The campaign fold (run-index order; `workers` is the fleet actually
+  /// spawned) plus what only processes have. Non-copyable.
+  struct Outcome : sim::CampaignOutcome {
+    metrics::Coverage coverage;  ///< workload coverage deltas, merged
+    std::vector<std::int64_t> quarantined_units;  ///< campaignd semantics
     bool interrupted = false;  ///< graceful shutdown before completion
-    unsigned workers_used = 1;
-    double wall_seconds = 0.0;
-
-    std::size_t configs = 0;
-    std::size_t reps = 0;
-    std::uint64_t seed = 1;
-    sim::SloGate slo;
-
-    Outcome() = default;
-    Outcome(const Outcome&) = delete;
-    Outcome& operator=(const Outcome&) = delete;
-
-    /// The canonical campaign artifact (sim::campaign_json). With
-    /// include_host_stats=false, byte-identical across worker counts,
-    /// placements, crashes and resumes.
-    std::string to_json(bool include_host_stats = true) const;
-    /// The deterministic health document (sim::campaign_health_json).
-    std::string health_json(bool include_host_stats = false) const;
   };
 
   Coordinator(JobSpec job, CoordinatorOptions opt);
@@ -180,9 +156,9 @@ class Coordinator {
 };
 
 /// The sequential in-process oracle: executes the same job in this process
-/// (one shard, run-index order) through the SAME executor, record
-/// construction and fold as the distributed path -- so its Outcome renders
-/// byte-identical JSON by construction. The chaos suite diffs against this.
+/// (one shard, run-index order) through the same per-run step and fold as
+/// the distributed path, folding its records directly. The chaos suite
+/// diffs every distributed outcome against this.
 /// Validates run_filter exactly like Coordinator::run (CoordinatorError for
 /// an index outside the matrix; duplicates execute once).
 void run_local(const JobSpec& job, Coordinator::Outcome& out);

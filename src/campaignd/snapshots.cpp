@@ -363,18 +363,22 @@ sim::CampaignOptions options_from_json(const Value& v) {
   return opt;
 }
 
-json::Value make_run_record(const sim::RunResult& result,
-                            const sim::Report& report,
-                            const metrics::Registry& registry,
-                            const metrics::Coverage* coverage,
-                            const metrics::TimeSeriesStore& timeline) {
-  Value rec = Value::object();
-  rec.set("result", run_result_to_json(result));
-  rec.set("report", report_to_json(report));
-  rec.set("registry", registry_to_json(registry));
-  if (coverage != nullptr) rec.set("coverage", coverage_to_json(*coverage));
-  if (!timeline.empty()) rec.set("timeline", timeline_to_json(timeline));
-  return rec;
+json::Value make_run_record(const sim::RunRecord& rec,
+                            const metrics::Coverage* coverage) {
+  Value v = Value::object();
+  v.set("result", run_result_to_json(rec.result));
+  v.set("report", report_to_json(rec.report));
+  v.set("registry", registry_to_json(rec.metrics));
+  if (coverage != nullptr) v.set("coverage", coverage_to_json(*coverage));
+  if (!rec.timeline.empty()) v.set("timeline", timeline_to_json(rec.timeline));
+  return v;
+}
+
+void run_record_from_json(const Value& v, sim::RunRecord& out) {
+  out.result = run_result_from_json(v.at("result"));
+  if (const Value* r = v.find("report")) report_from_json(*r, out.report);
+  if (const Value* r = v.find("registry")) registry_from_json(*r, out.metrics);
+  if (const Value* t = v.find("timeline")) timeline_from_json(*t, out.timeline);
 }
 
 std::string job_digest(std::size_t configs, std::size_t reps,

@@ -1,13 +1,14 @@
 // Lossless JSON snapshots of the campaign fold inputs.
 //
-// A campaignd worker executes a run and ships its outputs -- RunResult,
-// per-run Report, the body's registry delta, the workload's coverage delta
-// and the sampled timeline -- to the coordinator, which folds them with the
-// same merge() machinery the in-process engine uses. The checkpoint file
-// stores the identical records. Both therefore need EXACT round-trips: a
-// restored snapshot must merge and re-render byte-identically to the
-// original object, which is what makes a resumed or multi-process campaign
-// byte-identical to the sequential in-process run.
+// A campaignd worker executes a run and ships its sim::RunRecord -- the
+// RunResult, per-run Report, the body's registry and the sampled timeline
+// -- plus the workload's coverage delta to the coordinator, which decodes
+// the record and folds it with the same sim::CampaignOutcome the
+// in-process engine uses. The checkpoint file stores the identical
+// records. Both therefore need EXACT round-trips: a restored snapshot must
+// merge and re-render byte-identically to the original object, which is
+// what makes a resumed or multi-process campaign byte-identical to the
+// sequential in-process run.
 //
 // These snapshots are deliberately separate from the repo's human-facing
 // to_json() emitters: those are summaries (sparse histogram buckets, no
@@ -74,15 +75,17 @@ sim::CampaignOptions options_from_json(const json::Value& v);
 
 // -- run records (wire run_done payload == checkpoint entry) ----------------
 
-/// Packs one completed run's snapshots into the canonical record the
-/// worker ships and the checkpoint stores: {"result", "report",
-/// "registry", "coverage"?, "timeline"?}. `coverage` may be nullptr; the
-/// timeline is included only when non-empty.
-json::Value make_run_record(const sim::RunResult& result,
-                            const sim::Report& report,
-                            const metrics::Registry& registry,
-                            const metrics::Coverage* coverage,
-                            const metrics::TimeSeriesStore& timeline);
+/// Packs one completed run into the canonical record the worker ships and
+/// the checkpoint stores: {"result", "report", "registry", "coverage"?,
+/// "timeline"?}. `coverage` may be nullptr; the timeline is included only
+/// when non-empty.
+json::Value make_run_record(const sim::RunRecord& rec,
+                            const metrics::Coverage* coverage);
+
+/// The inverse for the fold inputs: restores a record's result, report,
+/// registry and timeline into a fresh `out` (absent members stay empty, as
+/// for a quarantine skip). Coverage is the caller's (coverage_from_json).
+void run_record_from_json(const json::Value& v, sim::RunRecord& out);
 
 /// FNV-1a/64 of a canonical dump, as 16 hex digits: the checkpoint header's
 /// job-compatibility digest (resuming under a different matrix, seed or

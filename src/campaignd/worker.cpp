@@ -220,26 +220,15 @@ class Worker {
   }
 
   /// Executes run `index` exactly as a Campaign pool thread would and
-  /// stages its snapshot record in record_. The worker-lifetime registry is
-  /// cleared first so the record carries this run's DELTA: per-run deltas
-  /// merge (counters/histograms add) to exactly the worker-lifetime
-  /// accumulation the in-process engine reduces. (Gauges merge by max
-  /// rather than last-write; bodies that need byte-identical distributed
-  /// artifacts keep gauges out of ctx.metrics() -- see snapshots.hpp.)
+  /// stages its snapshot record in record_. No ledger: the coordinator
+  /// keeps the config-quarantine ledger (it sees every worker's records)
+  /// and gates before dispatch; this process only writes the repro bundle.
   void execute_one(std::size_t index) {
-    shard_->registry.clear();
     workload_->begin_run();
-    const sim::RunSpec spec = sim::campaign_run_spec(opt_.seed, reps_, index);
-    sim::RunResult result;
-    sim::Report report;
-    metrics::TimeSeriesStore timeline;
-    sim::execute_run(*shard_, opt_, spec, 0, body_, result, &report,
-                     &timeline);
-    // The coordinator keeps the config-quarantine ledger (it sees every
-    // worker's records); this process only writes the repro bundle.
-    sim::handle_failed_run(opt_, configs_, reps_, spec, result, nullptr);
-    record_ = make_run_record(result, report, shard_->registry,
-                              workload_->coverage(), timeline);
+    sim::RunRecord rec;
+    sim::run_step(*shard_, opt_, configs_, reps_, index, 0, body_, nullptr,
+                  rec);
+    record_ = make_run_record(rec, workload_->coverage());
   }
 
   void pre_run_chaos(const ChaosDirective& d) {

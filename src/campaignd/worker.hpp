@@ -4,11 +4,11 @@
 // subcommand) that connects back to the coordinator, receives the job
 // (workload name + params + matrix shape + options), then executes work
 // units -- explicit run-index lists -- one run at a time through the SAME
-// sim::execute_run the in-process engine uses, on a worker-lifetime
-// RunShard with warm arenas. Each completed run ships a snapshot record
-// (make_run_record) back over the wire; the coordinator folds records in
-// run-index order, so nothing about the placement of runs onto workers is
-// observable in the merged artifacts.
+// sim::run_step the in-process engine uses, on a worker-lifetime RunShard
+// with warm arenas. Each completed run ships its sim::RunRecord as a
+// snapshot record (make_run_record) back over the wire; the coordinator
+// folds records in run-index order, so nothing about the placement of runs
+// onto workers is observable in the merged artifacts.
 //
 // Crash isolation is the point: a run that segfaults, aborts, wedges or
 // loses its process takes down THIS worker only. The coordinator detects

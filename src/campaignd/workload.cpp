@@ -21,7 +21,7 @@ std::map<std::string, WorkloadFactory>& factories() {
   return m;
 }
 
-/// The representative mixed-clock FIFO soak (the bench workload's shape):
+/// The representative mixed-clock FIFO soak (also the scaling benches'):
 /// per-config capacity, seed-derived traffic rates, scoreboard + monitors,
 /// standard coverage bins into the per-run sink.
 class FifoSoak : public Workload {

@@ -10,10 +10,11 @@
 // worker-lifetime accumulation the in-process engine merges).
 //
 // Built-ins:
-//   fifo_soak   the representative mixed-clock FIFO soak (the same shape
-//               as bench/campaign_workload.hpp): capacity cycles {4,8,16}
-//               with the config index, traffic rates from the per-run
-//               seed, scoreboard + monitors, standard coverage bins.
+//   fifo_soak   the representative mixed-clock FIFO soak (the scaling
+//               benches run it too, bench/campaign_workload.hpp): capacity
+//               cycles {4,8,16} with the config index, traffic rates from
+//               the per-run seed, scoreboard + monitors, standard coverage
+//               bins.
 //               params: {"cycles": N (default 40), "coverage": bool}
 //   chaos_soak  fifo_soak plus deterministic failure injection for the
 //               robustness suites. params add: {"fail_indices": [i, ...]

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 #include <typeinfo>
+#include <utility>
 
 #include "sim/error.hpp"
 #include "sim/observe.hpp"
@@ -71,14 +72,15 @@ RunShard::RunShard(const CampaignOptions& opt)
   }
 }
 
-RunShard::RunShard() : RunShard(CampaignOptions{}) {}
-
 RunShard::~RunShard() = default;
 
+namespace {
+
+/// Every attempt of run `spec` on `shard` (see run_step), filling `rec`.
 void execute_run(RunShard& shard, const CampaignOptions& opt,
                  const RunSpec& spec, unsigned worker_index,
-                 const Campaign::Body& body, RunResult& r,
-                 Report* report_out, metrics::TimeSeriesStore* timeline_out) {
+                 const Campaign::Body& body, RunRecord& rec) {
+  RunResult& r = rec.result;
   r.index = spec.index;
   r.seed = spec.seed;
 
@@ -131,7 +133,7 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
     Watchdog wd(WatchdogConfig{opt.run_deadline_sec, 0, 4096});
     if (opt.run_deadline_sec > 0.0) wd.arm(shard.sim);
 
-    CampaignContext ctx(shard.sim, shard.registry, spec, worker_index, r,
+    CampaignContext ctx(shard.sim, rec.metrics, spec, worker_index, r,
                         attempt, hub, tel);
     std::string err;
     std::string type;
@@ -199,14 +201,12 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
         r.error_type = "SloBreach";
       }
     }
-    // The isolated registry is deliberately NOT folded into the worker
-    // accumulator: runs of different configs legitimately create
-    // layout-divergent histograms under the same instance name (e.g.
-    // capacity-sized occupancy buckets), which Registry::merge rejects --
-    // and any "first layout wins" fallback would depend on run placement.
-    // Per-run metrics are the per-run artifacts: timelines, SLO verdicts
-    // and RunResult fields. Body-written metrics (ctx.metrics()) reduce
-    // exactly as before.
+    // The isolated registry is deliberately NOT folded into the campaign:
+    // runs of different configs legitimately create layout-divergent
+    // histograms under the same instance name (e.g. capacity-sized
+    // occupancy buckets), which Registry::merge rejects. Its per-run
+    // artifacts are the timelines, SLO verdicts and RunResult fields; only
+    // body-written metrics (ctx.metrics()) fold.
     if (shard.tel != nullptr) {
       r.telemetry_samples = shard.tel->samples();
       if (r.telemetry_samples > 0) {
@@ -218,7 +218,7 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
           if (shard.tel->write_jsonl(path)) r.timeline_path = path;
         }
         if (opt.capture_timelines) r.timeline_jsonl = shard.tel->to_jsonl();
-        if (timeline_out != nullptr) *timeline_out = shard.tel->store();
+        rec.timeline = shard.tel->store();
       }
     }
   }
@@ -247,11 +247,28 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
   if (opt.capture_run_reports) {
     r.report_json = shard.sim.report().to_json();
   }
-  if (report_out != nullptr) *report_out = shard.sim.report();
+  rec.report = shard.sim.report();
+}
+
+}  // namespace
+
+bool run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
+              std::size_t reps, std::size_t index, unsigned worker_index,
+              const Campaign::Body& body, ConfigLedger* ledger,
+              RunRecord& rec) {
+  const RunSpec spec = campaign_run_spec(opt.seed, reps, index);
+  if (ledger != nullptr && ledger->quarantined(spec.config)) {
+    rec.result = quarantined_run(spec, opt.quarantine_after);
+    return false;
+  }
+  execute_run(shard, opt, spec, worker_index, body, rec);
+  handle_failed_run(opt, configs, reps, spec, rec.result, ledger);
+  return true;
 }
 
 Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
-    : configs_(configs), reps_(reps), opt_(opt) {
+    : opt_(std::move(opt)) {
+  out_.begin(configs, reps, opt_);
   unsigned w = opt_.workers;
   if (w == 0) w = std::thread::hardware_concurrency();
   if (w == 0) w = 1;
@@ -259,7 +276,7 @@ Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
   if (n > 0 && n < static_cast<std::size_t>(w)) {
     w = static_cast<unsigned>(n);
   }
-  workers_ = w == 0 ? 1 : w;
+  out_.workers = w == 0 ? 1 : w;
 }
 
 struct Campaign::Cursor {
@@ -283,24 +300,15 @@ struct Campaign::Live {
   std::chrono::steady_clock::time_point t0;
 };
 
-void Campaign::worker_loop(RunShard& w, unsigned worker_index,
-                           const Body& body) {
+void Campaign::worker_loop(std::vector<RunRecord>& records, RunShard& w,
+                           unsigned worker_index, const Body& body) {
   for (;;) {
     const std::size_t i =
         cursor_->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= runs()) return;
-
-    const RunSpec spec = campaign_run_spec(opt_.seed, reps_, i);
-    RunResult& r = results_[i];
-    if (cursor_->ledger.quarantined(spec.config)) {
-      r = quarantined_run(spec, opt_.quarantine_after);
-    } else {
-      execute_run(w, opt_, spec, worker_index, body, r, &run_reports_[i],
-                  &run_timelines_[i]);
-      handle_failed_run(opt_, configs_, reps_, spec, r, &cursor_->ledger);
-    }
-
-    if (live_ != nullptr) note_run_done(r);
+    run_step(w, opt_, configs(), reps(), i, worker_index, body,
+             &cursor_->ledger, records[i]);
+    if (live_ != nullptr) note_run_done(records[i].result);
   }
 }
 
@@ -441,65 +449,83 @@ void Campaign::run(const Body& body) {
   ran_ = true;
 
   const std::size_t n = runs();
-  results_.assign(n, RunResult{});
-  run_reports_.assign(n, Report{});
-  run_timelines_.assign(n, metrics::TimeSeriesStore{});
   if (n == 0) return;
+  // Each run fills its own record in place; the fold below runs after the
+  // pool joins, in run-index order, so nothing depends on which worker
+  // claimed which run.
+  std::vector<RunRecord> records(n);
 
-  Cursor cursor(configs_, opt_.quarantine_after);
+  Cursor cursor(configs(), opt_.quarantine_after);
   cursor_ = &cursor;
 
   // Workers live in a deque: Simulation is non-movable and each shard's
   // address must stay stable for the threads holding references into it.
+  const unsigned workers = out_.workers;
   std::deque<RunShard> shards;
-  for (unsigned wi = 0; wi < workers_; ++wi) shards.emplace_back(opt_);
+  for (unsigned wi = 0; wi < workers; ++wi) shards.emplace_back(opt_);
 
   const auto t0 = std::chrono::steady_clock::now();
   Live live;
   live.t0 = t0;
   live_ = opt_.progress ? &live : nullptr;
-  if (workers_ == 1) {
-    worker_loop(shards[0], 0, body);
+  if (workers == 1) {
+    worker_loop(records, shards[0], 0, body);
   } else {
     std::vector<std::thread> threads;
-    threads.reserve(workers_);
-    for (unsigned wi = 0; wi < workers_; ++wi) {
-      threads.emplace_back(
-          [this, &shards, wi, &body] { worker_loop(shards[wi], wi, body); });
+    threads.reserve(workers);
+    for (unsigned wi = 0; wi < workers; ++wi) {
+      threads.emplace_back([this, &records, &shards, wi, &body] {
+        worker_loop(records, shards[wi], wi, body);
+      });
     }
     for (std::thread& t : threads) t.join();
   }
   const auto t1 = std::chrono::steady_clock::now();
-  wall_seconds_ = std::chrono::duration<double>(t1 - t0).count();
-  quarantined_ = cursor.ledger.quarantined_configs();
+  out_.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   cursor_ = nullptr;
   live_ = nullptr;
 
-  // Reduce the shards. Registries fold in worker-index order: every
-  // registry merge is commutative and associative, so the result is
-  // independent of both this order and the run->worker placement. Reports
-  // fold from the per-run snapshots in RUN-index order instead -- entry
-  // append order and the entry cap would otherwise depend on which worker
-  // happened to claim which runs.
-  for (const RunShard& w : shards) merged_.merge(w.registry);
-  for (Report& rr : run_reports_) merged_report_.merge(rr);
-  run_reports_.clear();  // per-run JSON (when captured) is in results_
-  // Timelines fold in RUN-index order (run 0's points first): append order
-  // is caller-visible in the exports, so -- like the Report fold -- the
-  // merged store must not depend on which worker executed which run.
-  for (metrics::TimeSeriesStore& ts : run_timelines_) {
-    merged_timeline_.merge(ts);
-  }
-  run_timelines_.clear();
-
-  // Failure + SLO manifests, folded in run-index order so the merged
-  // artifact stays worker-count independent.
-  append_campaign_manifests(results_, reps_, opt_.slo, merged_report_);
+  out_.results.reserve(n);
+  for (RunRecord& rec : records) out_.fold(std::move(rec));
+  out_.finish(cursor.ledger.quarantined_configs());
 }
 
-void append_campaign_manifests(const std::vector<RunResult>& results,
-                               std::size_t reps, const SloGate& slo,
-                               Report& report) {
+std::size_t Campaign::failed() const noexcept {
+  std::size_t n = 0;
+  for (const RunResult& r : out_.results) {
+    if (!r.ok) ++n;
+  }
+  return n;
+}
+
+bool Campaign::write_health_json(const std::string& path,
+                                 bool include_host_stats) const {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << health_json(include_host_stats);
+  return static_cast<bool>(out);
+}
+
+// -- the campaign fold -------------------------------------------------------
+
+void CampaignOutcome::begin(std::size_t configs_in, std::size_t reps_in,
+                            const CampaignOptions& opt) {
+  configs = configs_in;
+  reps = reps_in;
+  seed = opt.seed;
+  slo = opt.slo;
+}
+
+void CampaignOutcome::fold(RunRecord&& rec) {
+  results.push_back(std::move(rec.result));
+  report.merge(rec.report);
+  metrics.merge(rec.metrics);
+  timeline.merge(rec.timeline);
+}
+
+void CampaignOutcome::finish(std::vector<std::size_t> quarantined) {
+  quarantined_configs = std::move(quarantined);
+
   // Failure manifest: one merged-report entry per failed run, folded in
   // run-index order so the merged artifact stays worker-count independent.
   for (const RunResult& r : results) {
@@ -534,21 +560,30 @@ void append_campaign_manifests(const std::vector<RunResult>& results,
   }
 }
 
-std::size_t Campaign::failed() const noexcept {
-  std::size_t n = 0;
-  for (const RunResult& r : results_) {
-    if (!r.ok) ++n;
+namespace {
+
+/// The opening both campaign documents share: "{", the campaign line and,
+/// with include_host_stats, the volatile host line.
+void open_document(std::ostream& os, const CampaignOutcome& o,
+                   bool include_host_stats) {
+  const std::size_t total_runs = o.configs * o.reps;
+  os << "{\n";
+  os << "  \"campaign\": {\"configs\": " << o.configs
+     << ", \"reps\": " << o.reps << ", \"runs\": " << total_runs
+     << ", \"seed\": " << o.seed << "},\n";
+  if (include_host_stats) {
+    const double rps = o.wall_seconds > 0.0
+                           ? static_cast<double>(total_runs) / o.wall_seconds
+                           : 0.0;
+    os << "  \"host\": {\"workers\": " << o.workers
+       << ", \"wall_seconds\": " << o.wall_seconds
+       << ", \"runs_per_sec\": " << rps << "},\n";
   }
-  return n;
 }
 
-std::string campaign_health_json(const CampaignArtifacts& a,
-                                 bool include_host_stats) {
-  static const std::vector<RunResult> kNoResults;
-  const std::vector<RunResult>& results =
-      a.results != nullptr ? *a.results : kNoResults;
-  const std::size_t total_runs = a.configs * a.reps;
+}  // namespace
 
+std::string CampaignOutcome::health_json(bool include_host_stats) const {
   std::size_t ok = 0, failed_runs = 0, quarantined_runs = 0;
   std::uint64_t breaches = 0, samples = 0;
   double worst = 0.0;
@@ -571,18 +606,7 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   }
 
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": {\"configs\": " << a.configs
-     << ", \"reps\": " << a.reps << ", \"runs\": " << total_runs
-     << ", \"seed\": " << a.seed << "},\n";
-  if (include_host_stats) {
-    const double rps = a.wall_seconds > 0.0
-                           ? static_cast<double>(total_runs) / a.wall_seconds
-                           : 0.0;
-    os << "  \"host\": {\"workers\": " << a.workers
-       << ", \"wall_seconds\": " << a.wall_seconds
-       << ", \"runs_per_sec\": " << rps << "},\n";
-  }
+  open_document(os, *this, include_host_stats);
   os << "  \"health\": {\"ok\": " << ok << ", \"failed\": " << failed_runs
      << ", \"quarantined_runs\": " << quarantined_runs
      << ", \"slo_breaches\": " << breaches
@@ -590,21 +614,20 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   if (!worst_instance.empty()) {
     os << ", \"worst\": {\"run\": " << worst_run << ", \"instance\": \""
        << json_escape(worst_instance) << "\", \"metric\": \""
-       << json_escape(a.slo.metric)
-       << "\", \"percentile\": " << a.slo.percentile
+       << json_escape(slo.metric) << "\", \"percentile\": " << slo.percentile
        << ", \"value\": " << worst << "}";
   }
   os << "}";
-  if (a.slo.budget > 0.0) {
-    os << ",\n  \"slo\": {\"metric\": \"" << json_escape(a.slo.metric)
-       << "\", \"percentile\": " << a.slo.percentile
-       << ", \"budget\": " << a.slo.budget << ", \"fail_run\": "
-       << (a.slo.fail_run ? "true" : "false") << "}";
+  if (slo.budget > 0.0) {
+    os << ",\n  \"slo\": {\"metric\": \"" << json_escape(slo.metric)
+       << "\", \"percentile\": " << slo.percentile
+       << ", \"budget\": " << slo.budget << ", \"fail_run\": "
+       << (slo.fail_run ? "true" : "false") << "}";
   }
-  if (a.quarantined_configs != nullptr && !a.quarantined_configs->empty()) {
+  if (!quarantined_configs.empty()) {
     os << ",\n  \"quarantined_configs\": [";
     bool first = true;
-    for (std::size_t q : *a.quarantined_configs) {
+    for (std::size_t q : quarantined_configs) {
       os << (first ? "" : ", ") << q;
       first = false;
     }
@@ -614,53 +637,9 @@ std::string campaign_health_json(const CampaignArtifacts& a,
   return os.str();
 }
 
-CampaignArtifacts Campaign::artifacts() const {
-  CampaignArtifacts a;
-  a.configs = configs_;
-  a.reps = reps_;
-  a.seed = opt_.seed;
-  a.results = &results_;
-  a.report = &merged_report_;
-  a.metrics = &merged_;
-  a.quarantined_configs = &quarantined_;
-  a.slo = opt_.slo;
-  a.workers = workers_;
-  a.wall_seconds = wall_seconds_;
-  return a;
-}
-
-std::string Campaign::health_json(bool include_host_stats) const {
-  return campaign_health_json(artifacts(), include_host_stats);
-}
-
-bool Campaign::write_health_json(const std::string& path,
-                                 bool include_host_stats) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << health_json(include_host_stats);
-  return static_cast<bool>(out);
-}
-
-std::string campaign_json(const CampaignArtifacts& a,
-                          bool include_host_stats) {
-  static const std::vector<RunResult> kNoResults;
-  const std::vector<RunResult>& results =
-      a.results != nullptr ? *a.results : kNoResults;
-  const std::size_t total_runs = a.configs * a.reps;
-
+std::string CampaignOutcome::to_json(bool include_host_stats) const {
   std::ostringstream os;
-  os << "{\n";
-  os << "  \"campaign\": {\"configs\": " << a.configs
-     << ", \"reps\": " << a.reps << ", \"runs\": " << total_runs
-     << ", \"seed\": " << a.seed << "},\n";
-  if (include_host_stats) {
-    const double rps = a.wall_seconds > 0.0
-                           ? static_cast<double>(total_runs) / a.wall_seconds
-                           : 0.0;
-    os << "  \"host\": {\"workers\": " << a.workers
-       << ", \"wall_seconds\": " << a.wall_seconds
-       << ", \"runs_per_sec\": " << rps << "},\n";
-  }
+  open_document(os, *this, include_host_stats);
   os << "  \"runs\": [";
   bool first = true;
   std::size_t failed_runs = 0;
@@ -669,8 +648,8 @@ std::string campaign_json(const CampaignArtifacts& a,
     if (!first) os << ",";
     first = false;
     os << "\n    {\"index\": " << r.index << ", \"config\": "
-       << (a.reps == 0 ? 0 : r.index / a.reps) << ", \"rep\": "
-       << (a.reps == 0 ? 0 : r.index % a.reps) << ", \"seed\": " << r.seed
+       << (reps == 0 ? 0 : r.index / reps) << ", \"rep\": "
+       << (reps == 0 ? 0 : r.index % reps) << ", \"seed\": " << r.seed
        << ", \"ok\": " << (r.ok ? "true" : "false");
     if (!r.error.empty()) {
       os << ", \"error\": \"" << json_escape(r.error) << "\"";
@@ -714,34 +693,19 @@ std::string campaign_json(const CampaignArtifacts& a,
   }
   os << (first ? "]" : "\n  ]") << ",\n";
   os << "  \"merged\": {\"failed_runs\": " << failed_runs;
-  if (a.quarantined_configs != nullptr && !a.quarantined_configs->empty()) {
+  if (!quarantined_configs.empty()) {
     os << ", \"quarantined_configs\": [";
     bool qfirst = true;
-    for (std::size_t q : *a.quarantined_configs) {
+    for (std::size_t q : quarantined_configs) {
       os << (qfirst ? "" : ", ") << q;
       qfirst = false;
     }
     os << "]";
   }
-  os << ", \"report\": "
-     << (a.report != nullptr ? a.report->to_json() : std::string("{}"))
-     << ", \"metrics\": "
-     << (a.metrics != nullptr ? a.metrics->to_json() : std::string("{}"))
-     << "}\n";
+  os << ", \"report\": " << report.to_json()
+     << ", \"metrics\": " << metrics.to_json() << "}\n";
   os << "}\n";
   return os.str();
-}
-
-std::string Campaign::to_json(bool include_host_stats) const {
-  return campaign_json(artifacts(), include_host_stats);
-}
-
-bool Campaign::write_json(const std::string& path,
-                          bool include_host_stats) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json(include_host_stats);
-  return static_cast<bool>(out);
 }
 
 }  // namespace mts::sim

@@ -8,11 +8,10 @@
 // schedulers, pools and RNG streams. A Campaign exploits exactly that and
 // nothing more:
 //
-//   * Sharding. Each worker thread owns a Simulation, a metrics::Registry
-//     and a Report for its whole lifetime. Nothing inside a run body is
-//     shared across threads; the only cross-thread state is the atomic
-//     next-run cursor and the pre-sized result vector (each run writes its
-//     own element).
+//   * Sharding. Each worker thread owns a Simulation for its whole
+//     lifetime. Nothing inside a run body is shared across threads; the
+//     only cross-thread state is the atomic next-run cursor and the
+//     pre-sized RunRecord vector (each run writes its own element).
 //
 //   * Arena reuse. Between runs a worker calls Simulation::reset(seed),
 //     which drains the scheduler's delta ring and heap WITHOUT releasing
@@ -28,10 +27,12 @@
 //     fault-injection randomness construct a FaultPlan(ctx.spec().seed)
 //     inside the body: plan RNG is then per-run, not per-worker.
 //
-//   * Mergeable reduction. Per-worker registries and reports reduce into
-//     one campaign-level artifact through metrics::Registry::merge /
-//     Report::merge (commutative, associative), so the merged JSON is also
-//     independent of worker count. Coverage is merged the same way on the
+//   * One fold. Every run leaves one RunRecord (result, report snapshot,
+//     the registry its body wrote, sampled timeline); CampaignOutcome::fold
+//     merges the records in run-index order (Registry::merge /
+//     Report::merge / TimeSeriesStore::merge), so the merged JSON is
+//     independent of worker count. The campaignd transports fold the same
+//     records through the same CampaignOutcome. Coverage is merged on the
 //     caller's side (metrics::Coverage::merge) because mts_sim cannot link
 //     mts_metrics' attachers.
 //
@@ -224,8 +225,8 @@ struct RunResult {
 };
 
 /// The body's window onto its shard: the worker's (reset, reseeded)
-/// Simulation, the worker-lifetime metrics registry, this run's spec and
-/// the result slot to fill.
+/// Simulation, this run's metrics registry, its spec and the result slot
+/// to fill.
 class CampaignContext {
  public:
   CampaignContext(Simulation& sim, metrics::Registry& metrics,
@@ -250,9 +251,10 @@ class CampaignContext {
   /// (ctx.sim().reset(my_seed)) -- arena reuse is unaffected.
   Simulation& sim() noexcept { return sim_; }
 
-  /// The worker's registry: accumulates across every run this worker
-  /// executes and reduces into Campaign::merged_metrics() at the end. For
-  /// per-run isolated metrics, use a body-local Registry instead.
+  /// This run's registry (RunRecord::metrics): starts empty, is shared by
+  /// the run's attempts, and folds into Campaign::merged_metrics() in
+  /// run-index order -- counters and histogram buckets add, gauges take
+  /// the max over runs, whatever the worker count or transport.
   metrics::Registry& metrics() noexcept { return metrics_; }
 
   const RunSpec& spec() const noexcept { return spec_; }
@@ -292,26 +294,22 @@ class CampaignContext {
 };
 
 struct Observability;
-struct CampaignArtifacts;
 
-/// Worker-lifetime shard state for the single-run executor: the Simulation
-/// whose arenas stay warm across every run this shard executes, its
-/// metric/report accumulators, and (collect_violations only) the hub its
-/// runs' monitors report into. One shard is owned by one executor at a
-/// time -- a pool thread inside Campaign::run, or a campaignd worker
-/// process (src/campaignd) for its whole lifetime.
+/// Worker-lifetime shard state for the per-run step: the Simulation whose
+/// arenas stay warm across every run this shard executes and the engine's
+/// per-run instruments (collect_violations hub, telemetry sampler). One
+/// shard is owned by one executor at a time -- a pool thread inside
+/// Campaign::run, or a campaignd worker process (src/campaignd) for its
+/// whole lifetime.
 struct RunShard {
   /// `opt` sizes the optional engine-telemetry sampler (telemetry_interval
   /// > 0 allocates it with the campaign's TelemetryConfig).
   explicit RunShard(const CampaignOptions& opt);
-  RunShard();
   ~RunShard();
   RunShard(const RunShard&) = delete;
   RunShard& operator=(const RunShard&) = delete;
 
   Simulation sim;
-  /// Worker-lifetime accumulator behind CampaignContext::metrics().
-  metrics::Registry registry;
   /// Engine telemetry / SLO isolated per-run registry: components the body
   /// builds resolve their metrics here -- cleared before every attempt --
   /// so per-run timelines and SLO verdicts never see another run's samples
@@ -320,6 +318,75 @@ struct RunShard {
   std::unique_ptr<verify::Hub> hub;  ///< collect_violations shard hub
   std::unique_ptr<Telemetry> tel;    ///< telemetry_interval > 0 only
   std::unique_ptr<Observability> obs;  ///< the engine-armed bundle
+};
+
+/// Everything one run leaves for the campaign fold. Every transport
+/// produces these -- Campaign's pool threads, campaignd::run_local and the
+/// campaignd worker processes (which ship them as snapshot records) -- and
+/// CampaignOutcome::fold consumes them.
+struct RunRecord {
+  RunResult result;
+  /// The run's Report with the kernel pool high-water zeroed: arena
+  /// capacity belongs to the worker, not to the run (see
+  /// CampaignOptions::capture_run_reports).
+  Report report;
+  /// What the body wrote through ctx.metrics().
+  metrics::Registry metrics;
+  /// The run's sampled series (engine telemetry only; empty when the
+  /// sampler never ticked).
+  metrics::TimeSeriesStore timeline;
+};
+
+/// The campaign fold: run records merged in run-index order, plus the
+/// matrix shape and host figures the artifacts render. sim::Campaign keeps
+/// one; campaignd::Coordinator::Outcome extends it.
+struct CampaignOutcome {
+  std::size_t configs = 0;
+  std::size_t reps = 0;
+  std::uint64_t seed = 1;
+  SloGate slo;  ///< health/slo sections (budget <= 0: omitted)
+
+  std::vector<RunResult> results;  ///< fold order == run-index order
+  /// Reports fold in run-index order, so entry order and the entry cap are
+  /// worker-count independent. Kernel counters aggregate across runs
+  /// (events add, peak depth maxes); the pool high-water reads 0.
+  Report report;
+  /// Counters and histogram buckets add, gauges take the max over runs.
+  metrics::Registry metrics;
+  /// Run 0's points first, then run 1's, series by series. Per-run sim
+  /// times overlap (every run starts at t=0); consumers group by run via
+  /// the per-run artifacts when they need separation.
+  metrics::TimeSeriesStore timeline;
+  std::vector<std::size_t> quarantined_configs;  ///< ascending
+  unsigned workers = 1;       ///< host section only
+  double wall_seconds = 0.0;  ///< host section only
+
+  /// Sets the matrix shape, seed and SLO the artifacts render.
+  void begin(std::size_t configs, std::size_t reps,
+             const CampaignOptions& opt);
+
+  /// Folds the next run in run-index order (the result moves in; the
+  /// report, registry and timeline merge).
+  void fold(RunRecord&& rec);
+
+  /// After the last fold: appends the failure and SLO manifests -- one
+  /// report entry per failed / SLO-breaching run, in run-index order --
+  /// and records the quarantined configs.
+  void finish(std::vector<std::size_t> quarantined);
+
+  /// The campaign-level JSON artifact: matrix shape + seed, per-run
+  /// results in index order, and the merged report/metrics. With
+  /// include_host_stats=false the volatile host section (worker count,
+  /// wall time, runs/sec) is omitted and the document is byte-identical
+  /// across worker counts, transports, crashes and resumes.
+  std::string to_json(bool include_host_stats = true) const;
+
+  /// Deterministic campaign-health document: run totals (ok / failed /
+  /// quarantined), SLO breach totals, the worst observed slo.metric
+  /// percentile and its run, and the quarantined-config list -- all
+  /// derived from `results`, so it is byte-identical across worker counts.
+  /// include_host_stats=true appends the volatile host section.
+  std::string health_json(bool include_host_stats = false) const;
 };
 
 class Campaign {
@@ -337,31 +404,33 @@ class Campaign {
   Campaign(const Campaign&) = delete;
   Campaign& operator=(const Campaign&) = delete;
 
-  std::size_t configs() const noexcept { return configs_; }
-  std::size_t reps() const noexcept { return reps_; }
-  std::size_t runs() const noexcept { return configs_ * reps_; }
-  unsigned workers() const noexcept { return workers_; }
-  std::uint64_t seed() const noexcept { return opt_.seed; }
+  std::size_t configs() const noexcept { return out_.configs; }
+  std::size_t reps() const noexcept { return out_.reps; }
+  std::size_t runs() const noexcept { return out_.configs * out_.reps; }
+  unsigned workers() const noexcept { return out_.workers; }
+  std::uint64_t seed() const noexcept { return out_.seed; }
 
-  /// Executes every cell of the matrix across the pool and reduces the
-  /// shards. Blocks until all runs finish. May be called once.
+  /// Executes every cell of the matrix across the pool and folds the run
+  /// records. Blocks until all runs finish. May be called once.
   void run(const Body& body);
 
-  // -- results (valid after run()) ----------------------------------------
+  // -- results (valid after run(); see CampaignOutcome) -------------------
 
   /// Per-run results in run-index order, independent of worker count.
-  const std::vector<RunResult>& results() const noexcept { return results_; }
-
-  /// Reduction of every worker's registry (counters add, gauges max,
-  /// histogram buckets add).
-  const metrics::Registry& merged_metrics() const noexcept { return merged_; }
-
-  /// Reduction of every run's Report, folded in run-index order so entry
-  /// order and the entry cap are worker-count independent too. Kernel
-  /// counters aggregate across runs (events add, peak depth maxes); the
-  /// pool high-water reads 0 -- arena capacity belongs to the worker, not
-  /// to any run (see CampaignOptions::capture_run_reports).
-  const Report& merged_report() const noexcept { return merged_report_; }
+  const std::vector<RunResult>& results() const noexcept {
+    return out_.results;
+  }
+  /// The fold of every run's ctx.metrics() registry.
+  const metrics::Registry& merged_metrics() const noexcept {
+    return out_.metrics;
+  }
+  /// The run-index-order fold of every run's Report, plus the manifests.
+  const Report& merged_report() const noexcept { return out_.report; }
+  /// The run-index-order fold of every sampled run's timeline (engine
+  /// telemetry only).
+  const metrics::TimeSeriesStore& merged_timeline() const noexcept {
+    return out_.timeline;
+  }
 
   /// Runs whose body threw (quarantine-skipped cells included).
   std::size_t failed() const noexcept;
@@ -369,82 +438,47 @@ class Campaign {
   /// Config indices quarantined during the run (quarantine_after > 0);
   /// sorted ascending.
   const std::vector<std::size_t>& quarantined() const noexcept {
-    return quarantined_;
+    return out_.quarantined_configs;
   }
   bool config_quarantined(std::size_t config) const noexcept {
-    for (std::size_t q : quarantined_) {
+    for (std::size_t q : out_.quarantined_configs) {
       if (q == config) return true;
     }
     return false;
   }
 
-  /// Index-ordered fold of every sampled run's timeline (engine telemetry
-  /// only): run 0's points first, then run 1's, series-by-series -- the
-  /// same run-index-order contract as the Report fold, so the merged store
-  /// (and its exports) are worker-count independent. Per-run sim times
-  /// overlap (every run starts at t=0); consumers group by run via the
-  /// per-run artifacts when they need separation.
-  const metrics::TimeSeriesStore& merged_timeline() const noexcept {
-    return merged_timeline_;
+  std::string health_json(bool include_host_stats = false) const {
+    return out_.health_json(include_host_stats);
   }
-
-  /// Deterministic campaign-health document: run totals (ok / failed /
-  /// quarantined), SLO breach totals, the worst observed slo.metric
-  /// percentile and its run, and the quarantined-config list -- all
-  /// derived from results() in run-index order, so the document is
-  /// byte-identical across worker counts. include_host_stats=true appends
-  /// the volatile host section (workers, wall seconds, runs/sec).
-  std::string health_json(bool include_host_stats = false) const;
 
   /// Writes health_json() to `path`; returns false (no throw) on I/O
   /// failure.
   bool write_health_json(const std::string& path,
                          bool include_host_stats = false) const;
 
-  double wall_seconds() const noexcept { return wall_seconds_; }
+  double wall_seconds() const noexcept { return out_.wall_seconds; }
   double runs_per_sec() const noexcept {
-    return wall_seconds_ > 0.0
-               ? static_cast<double>(runs()) / wall_seconds_
+    return out_.wall_seconds > 0.0
+               ? static_cast<double>(runs()) / out_.wall_seconds
                : 0.0;
   }
 
-  /// The campaign-level JSON artifact: matrix shape + seed, per-run
-  /// results in index order, and the merged report/metrics reduction.
-  /// With include_host_stats=false the volatile host section (worker
-  /// count, wall time, runs/sec) is omitted and the document is
-  /// bit-identical across worker counts -- the determinism suite diffs
-  /// exactly this.
-  std::string to_json(bool include_host_stats = true) const;
-
-  /// Writes to_json() to `path`; returns false (with no throw) on I/O
-  /// failure so benches can run from read-only trees.
-  bool write_json(const std::string& path,
-                  bool include_host_stats = true) const;
+  /// The campaign-level JSON artifact; the determinism suite diffs
+  /// to_json(false) across worker counts.
+  std::string to_json(bool include_host_stats = true) const {
+    return out_.to_json(include_host_stats);
+  }
 
  private:
-  void worker_loop(RunShard& w, unsigned worker_index, const Body& body);
+  void worker_loop(std::vector<RunRecord>& records, RunShard& w,
+                   unsigned worker_index, const Body& body);
   /// Streaming-health bookkeeping after one run completes: updates the
   /// shared tallies and emits a progress line on the configured cadence.
   void note_run_done(const RunResult& r);
-  /// The inputs to to_json() / health_json().
-  CampaignArtifacts artifacts() const;
 
-  std::size_t configs_;
-  std::size_t reps_;
   CampaignOptions opt_;
-  unsigned workers_ = 1;
   bool ran_ = false;
-
-  std::vector<RunResult> results_;
-  std::vector<Report> run_reports_;  // merge staging; cleared after run()
-  // Per-run timeline staging (engine telemetry only), folded in run-index
-  // order into merged_timeline_ after the pool joins.
-  std::vector<metrics::TimeSeriesStore> run_timelines_;
-  metrics::Registry merged_;
-  Report merged_report_;
-  metrics::TimeSeriesStore merged_timeline_;
-  std::vector<std::size_t> quarantined_;
-  double wall_seconds_ = 0.0;
+  CampaignOutcome out_;
 
   // Work distribution: pool threads claim run indices from this cursor,
   // which also holds the config-quarantine ledger (campaign.cpp-local type).
@@ -455,26 +489,7 @@ class Campaign {
   Live* live_ = nullptr;
 };
 
-// -- single-run executor (shared with src/campaignd) ------------------------
-
-/// Executes every attempt of run `spec` on `shard`, exactly as a
-/// Campaign::run pool thread would: same-seed retries with
-/// flaky/deterministic classification, per-attempt watchdog deadline,
-/// violation hub, engine telemetry and SLO verdicts. Fills `result` and --
-/// when report_out is non-null -- the run's placement-independent Report
-/// snapshot (kernel pool high-water zeroed). With engine telemetry armed
-/// and timeline_out non-null, the run's sampled series are copied there
-/// (left empty when the sampler never ticked). Quarantine gating and repro
-/// bundles stay with the caller (see the policy below): this function never
-/// touches state outside the shard and its three out-parameters, which is
-/// what lets a campaignd worker process produce bit-identical runs to the
-/// in-process pool.
-void execute_run(RunShard& shard, const CampaignOptions& opt,
-                 const RunSpec& spec, unsigned worker_index,
-                 const Campaign::Body& body, RunResult& result,
-                 Report* report_out, metrics::TimeSeriesStore* timeline_out);
-
-// -- per-run supervision policy (shared with src/campaignd) -----------------
+// -- the per-run step and its policy (shared with src/campaignd) ------------
 //
 // Campaign::run, the campaignd in-process oracle (run_local), its worker
 // processes and its coordinator all apply these, so a run's spec, its
@@ -505,6 +520,22 @@ class ConfigLedger {
   std::vector<std::atomic<std::uint32_t>> failures_;
 };
 
+/// The whole step for run `index` of a `configs` x `reps` matrix, on a
+/// fresh `rec`: builds the spec, skips the run (quarantined_run) when its
+/// config is quarantined in `ledger`, otherwise executes every attempt on
+/// `shard` -- same-seed retries with flaky/deterministic classification,
+/// per-attempt watchdog deadline, violation hub, engine telemetry and SLO
+/// verdicts -- and then applies handle_failed_run. `ledger` may be
+/// nullptr: the caller keeps the ledger elsewhere (a campaignd worker; its
+/// coordinator gates before dispatch). Touches no state outside the shard,
+/// `rec`, the ledger and the repro/timeline directories, which is what
+/// lets a campaignd worker process produce bit-identical runs to the
+/// in-process pool. Returns false when the run was skipped.
+bool run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
+              std::size_t reps, std::size_t index, unsigned worker_index,
+              const Campaign::Body& body, ConfigLedger* ledger,
+              RunRecord& rec);
+
 /// The skip record for a run of a quarantined config: not executed
 /// (attempts == 0), classification "quarantined".
 RunResult quarantined_run(const RunSpec& spec, unsigned quarantine_after);
@@ -525,38 +556,5 @@ void handle_failed_run(const CampaignOptions& opt, std::size_t configs,
 bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
                         std::size_t configs, std::size_t reps,
                         const RunSpec& spec, RunResult& result);
-
-// -- canonical campaign artifacts (shared with src/campaignd) ---------------
-
-/// Inputs to the canonical campaign artifact generators. Campaign::to_json
-/// / health_json and the campaignd coordinator both render their documents
-/// through these, so a distributed campaign's artifacts are byte-identical
-/// to the in-process engine's by construction.
-struct CampaignArtifacts {
-  std::size_t configs = 0;
-  std::size_t reps = 0;
-  std::uint64_t seed = 1;
-  const std::vector<RunResult>* results = nullptr;        ///< run-index order
-  const Report* report = nullptr;                         ///< merged fold
-  const metrics::Registry* metrics = nullptr;             ///< merged fold
-  /// Quarantined config list (nullptr or empty: section omitted).
-  const std::vector<std::size_t>* quarantined_configs = nullptr;
-  SloGate slo;                ///< health/slo sections (budget <= 0: omitted)
-  unsigned workers = 1;       ///< host section only
-  double wall_seconds = 0.0;  ///< host section only
-};
-
-/// The campaign-level JSON artifact (see Campaign::to_json for the shape).
-std::string campaign_json(const CampaignArtifacts& a, bool include_host_stats);
-
-/// The deterministic campaign-health document (see Campaign::health_json).
-std::string campaign_health_json(const CampaignArtifacts& a,
-                                 bool include_host_stats);
-
-/// Appends the failure and SLO manifests -- one merged-report entry per
-/// failed / SLO-breaching run, folded in run-index order -- to `report`.
-void append_campaign_manifests(const std::vector<RunResult>& results,
-                               std::size_t reps, const SloGate& slo,
-                               Report& report);
 
 }  // namespace mts::sim

@@ -283,29 +283,53 @@ TEST(CampaigndSnapshots, OptionsRoundTrip) {
 }
 
 TEST(CampaigndSnapshots, MakeRunRecordShape) {
-  sim::RunResult res;
-  res.index = 3;
-  res.ok = true;
-  sim::Report rep;
-  metrics::Registry reg;
+  sim::RunRecord rec;
+  rec.result.index = 3;
+  rec.result.ok = true;
   metrics::Coverage cov("c");
   cov.hit("a");
-  metrics::TimeSeriesStore empty_tl;
-  metrics::TimeSeriesStore tl;
-  tl.append("s", 1, 2.0);
 
-  const json::Value with_all =
-      campaignd::make_run_record(res, rep, reg, &cov, tl);
+  const json::Value minimal = campaignd::make_run_record(rec, nullptr);
+  EXPECT_FALSE(minimal.has("coverage"));
+  EXPECT_FALSE(minimal.has("timeline"));
+
+  rec.timeline.append("s", 1, 2.0);
+  const json::Value with_all = campaignd::make_run_record(rec, &cov);
   EXPECT_TRUE(with_all.has("result"));
   EXPECT_TRUE(with_all.has("report"));
   EXPECT_TRUE(with_all.has("registry"));
   EXPECT_TRUE(with_all.has("coverage"));
   EXPECT_TRUE(with_all.has("timeline"));
+}
 
-  const json::Value minimal =
-      campaignd::make_run_record(res, rep, reg, nullptr, empty_tl);
-  EXPECT_FALSE(minimal.has("coverage"));
-  EXPECT_FALSE(minimal.has("timeline"));
+TEST(CampaigndSnapshots, RunRecordRoundTripsThroughJson) {
+  sim::RunRecord rec;
+  rec.result.index = 5;
+  rec.result.seed = 0xFFFFFFFFFFFFFFFFull;
+  rec.result.scalars["x"] = 0.1;
+  rec.report.add(7, sim::Severity::kWarning, "cat", "msg");
+  rec.metrics.counter("i", "c").inc(3);
+  rec.metrics.gauge("i", "g").set(-2.5);
+  rec.metrics.histogram("i", "h", {1.0, 10.0}).observe(4.0);
+  rec.timeline.append("s", 1, 2.0);
+
+  const json::Value snap = campaignd::make_run_record(rec, nullptr);
+  sim::RunRecord back;
+  campaignd::run_record_from_json(snap, back);
+  EXPECT_EQ(campaignd::make_run_record(back, nullptr).dump(), snap.dump());
+  EXPECT_EQ(back.report.to_json(), rec.report.to_json());
+  EXPECT_EQ(back.metrics.to_json(), rec.metrics.to_json());
+  EXPECT_EQ(back.timeline.to_jsonl(), rec.timeline.to_jsonl());
+
+  // A result-only record (a quarantine skip) folds as an empty run.
+  json::Value skip = json::Value::object();
+  skip.set("result", snap.at("result"));
+  sim::RunRecord bare;
+  campaignd::run_record_from_json(skip, bare);
+  EXPECT_EQ(bare.result.index, 5u);
+  EXPECT_EQ(bare.report.entries().size(), 0u);
+  EXPECT_EQ(bare.metrics.to_json(), metrics::Registry().to_json());
+  EXPECT_TRUE(bare.timeline.empty());
 }
 
 TEST(CampaigndSnapshots, JobDigestSensitivity) {

@@ -10,16 +10,24 @@
 // per-worker coverage. If worker placement leaked into ANY of those, the
 // byte comparison would catch it. TSan CI runs this binary (label
 // "campaign") to also prove the absence of data races on the same paths.
+//
+// The engine and campaignd's in-process oracle (run_local) fold the same
+// run records through the same CampaignOutcome; a workload writing every
+// metric kind into ctx.metrics() pins the two to byte identity too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bfm/bfm.hpp"
+#include "campaignd/coordinator.hpp"
+#include "campaignd/json.hpp"
+#include "campaignd/workload.hpp"
 #include "fifo/interface_sides.hpp"
 #include "fifo/mixed_clock_fifo.hpp"
 #include "metrics/coverage.hpp"
@@ -127,24 +135,37 @@ TEST(Campaign, BodyExceptionFailsThatRunOnlyAndIsCaptured) {
 }
 
 TEST(Campaign, WorkerMetricsAccumulateAndMergeAcrossRuns) {
-  sim::CampaignOptions opt;
-  opt.workers = 3;
-  opt.seed = 5;
-  sim::Campaign campaign(9, 1, opt);
-  campaign.run([](sim::CampaignContext& ctx) {
-    ctx.metrics().counter("engine", "runs").inc();
-    ctx.metrics().gauge("engine", "config").set(
-        static_cast<double>(ctx.spec().config));
-  });
-  // Counters add across the three worker shards; gauges take the max.
-  const metrics::Counter* c =
-      campaign.merged_metrics().find_counter("engine", "runs");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->value(), 9u);
-  const metrics::Gauge* g =
-      campaign.merged_metrics().find_gauge("engine", "config");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->value(), 8.0);
+  constexpr std::size_t kRuns = 9;
+  for (unsigned workers : {1u, 3u}) {
+    sim::CampaignOptions opt;
+    opt.workers = workers;
+    opt.seed = 5;
+    sim::Campaign campaign(kRuns, 1, opt);
+    campaign.run([](sim::CampaignContext& ctx) {
+      ctx.metrics().counter("engine", "runs").inc();
+      ctx.metrics().gauge("engine", "config").set(
+          static_cast<double>(ctx.spec().config));
+      // Falls with the run index: a last-write-per-worker reduction would
+      // depend on which worker ran the last runs.
+      ctx.metrics().gauge("engine", "countdown").set(
+          static_cast<double>(kRuns - 1 - ctx.spec().index));
+    });
+    // Counters add across runs; gauges take the max over runs, whatever
+    // the worker count.
+    const metrics::Counter* c =
+        campaign.merged_metrics().find_counter("engine", "runs");
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->value(), 9u);
+    const metrics::Gauge* g =
+        campaign.merged_metrics().find_gauge("engine", "config");
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->value(), 8.0);
+    const metrics::Gauge* countdown =
+        campaign.merged_metrics().find_gauge("engine", "countdown");
+    ASSERT_NE(countdown, nullptr);
+    EXPECT_EQ(countdown->value(), static_cast<double>(kRuns - 1))
+        << workers << " workers";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -267,6 +288,79 @@ TEST(CampaignDeterminism, FourWorkersBitIdenticalToOneWorker) {
   std::uint64_t cov_hits = 0;
   for (const auto& [bin, n] : seq.coverage_bins) cov_hits += n;
   EXPECT_GT(cov_hits, 0u);
+}
+
+/// campaignd's fifo_soak (via chaos_soak, for a flaky run) plus a counter,
+/// a gauge and a histogram written into ctx.metrics(). The counter counts
+/// attempts, so a retried run's record carries both of its attempts.
+class MeteredSoak : public campaignd::Workload {
+ public:
+  explicit MeteredSoak(const campaignd::json::Value& params)
+      : inner_(campaignd::make_workload("chaos_soak", params)),
+        runs_(params.get_u64("runs", 1)) {}
+
+  void run(sim::CampaignContext& ctx) override {
+    metrics::Registry& m = ctx.metrics();
+    m.counter("body", "attempts").inc();
+    inner_->run(ctx);
+    m.gauge("body", "countdown")
+        .set(static_cast<double>(runs_ - 1 - ctx.spec().index));
+    m.histogram("body", "dequeued", {2.0, 4.0, 8.0, 16.0})
+        .observe(ctx.result().scalars.at("dequeued"));
+  }
+
+ private:
+  std::unique_ptr<campaignd::Workload> inner_;
+  std::uint64_t runs_;
+};
+
+TEST(CampaignDeterminism, EngineMatchesCampaigndOracleWithBodyMetrics) {
+  campaignd::register_workload(
+      "metered_soak", [](const campaignd::json::Value& p) {
+        return std::make_unique<MeteredSoak>(p);
+      });
+  campaignd::JobSpec job;
+  job.workload = "metered_soak";
+  job.configs = 3;
+  job.reps = 3;
+  job.params = campaignd::json::parse(
+      "{\"cycles\": 12, \"coverage\": false, \"runs\": 9,"
+      " \"fail_indices\": [4], \"flaky\": true}");
+  job.opt.seed = 0x3A7;
+  job.opt.max_attempts = 2;
+  job.opt.collect_violations = true;
+  job.opt.telemetry_interval = 5 * sim::kNanosecond;
+  job.opt.telemetry_max_points = 256;
+  job.opt.telemetry_window = 128;
+  job.opt.slo.metric = "latency_ps";
+  job.opt.slo.budget = 1.0;  // every run breaches: the manifest is folded
+
+  campaignd::Coordinator::Outcome local;
+  campaignd::run_local(job, local);
+  ASSERT_EQ(local.results.size(), 9u);
+  EXPECT_EQ(local.results[4].classification, "flaky");
+  EXPECT_FALSE(local.timeline.empty());
+  const metrics::Gauge* g = local.metrics.find_gauge("body", "countdown");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->value(), 8.0);
+  const metrics::Counter* c = local.metrics.find_counter("body", "attempts");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value(), 10u);
+
+  const std::unique_ptr<campaignd::Workload> wl =
+      campaignd::make_workload(job.workload, job.params);
+  for (unsigned workers : {1u, 4u}) {
+    sim::CampaignOptions opt = job.opt;
+    opt.workers = workers;
+    sim::Campaign engine(job.configs, job.reps, opt);
+    engine.run(wl->body());
+    EXPECT_EQ(engine.to_json(false), local.to_json(false))
+        << workers << " workers";
+    EXPECT_EQ(engine.health_json(false), local.health_json(false))
+        << workers << " workers";
+    EXPECT_EQ(engine.merged_timeline().to_jsonl(), local.timeline.to_jsonl())
+        << workers << " workers";
+  }
 }
 
 TEST(CampaignDeterminism, RerunWithSameSeedIsBitIdentical) {

@@ -510,7 +510,25 @@ TEST(CampaigndPolicy, ConfigQuarantineMatchesEngineOnEveryPath) {
       EXPECT_EQ(got.attempts, want[i].attempts) << "run " << i;
     }
     EXPECT_EQ(o->quarantined_configs, engine.quarantined());
+    EXPECT_EQ(o->to_json(false), engine.to_json(false));
   }
+}
+
+TEST(CampaigndPolicy, HostWorkersReportsTheSpawnedFleet) {
+  REQUIRE_WORKER_BIN();
+  const JobSpec job = small_job(2, 1);  // 2 runs: only 2 workers spawn
+  Coordinator::Outcome dist;
+  Coordinator coord(job, fast_opts(4));
+  coord.run(dist);
+  EXPECT_EQ(dist.workers, 2u);
+
+  sim::CampaignOptions eopt = job.opt;
+  eopt.workers = 4;
+  sim::Campaign engine(job.configs, job.reps, eopt);
+  engine.run(campaignd::make_workload(job.workload, job.params)->body());
+  const std::string want = "\"host\": {\"workers\": 2,";
+  EXPECT_NE(dist.to_json(true).find(want), std::string::npos);
+  EXPECT_NE(engine.to_json(true).find(want), std::string::npos);
 }
 
 // -- CLI: bad numeric input is a usage error --------------------------------
