@@ -6,9 +6,14 @@
 //
 //   $ ./example_design_report [capacity] [width]
 //   $ dot -Tpng opt.dot -o opt.png        # render the controllers
+//
+// A capacity or width that is not a plain decimal count, or that the FIFO
+// configuration rejects, prints the reason and exits with status 2.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <string>
 
 #include "bfm/bfm.hpp"
 #include "ctrl/dot.hpp"
@@ -16,6 +21,7 @@
 #include "fifo/fifo.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/stats.hpp"
+#include "sim/error.hpp"
 #include "sim/observe.hpp"
 #include "sync/clock.hpp"
 #include "sync/mtbf.hpp"
@@ -36,13 +42,35 @@ void print_path(const char* title, const fifo::PathBreakdown& path) {
               sim::period_to_mhz(total));
 }
 
+/// Parses a whole argument as an unsigned decimal count.
+unsigned parse_count(const char* what, const char* text) {
+  unsigned value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw ConfigError(std::string(what) + " must be a decimal count, got '" +
+                      text + "'");
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   fifo::FifoConfig cfg;
-  cfg.capacity = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 8;
-  cfg.width = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 8;
-  cfg.validate();
+  cfg.capacity = 8;
+  cfg.width = 8;
+  try {
+    if (argc > 1) cfg.capacity = parse_count("capacity", argv[1]);
+    if (argc > 2) cfg.width = parse_count("width", argv[2]);
+    cfg.validate();
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr,
+                 "example_design_report: %s\n"
+                 "usage: example_design_report [capacity] [width]\n",
+                 e.what());
+    return 2;
+  }
 
   std::printf("=== MTS design report: %u-place, %u-bit ===\n\n", cfg.capacity,
               cfg.width);

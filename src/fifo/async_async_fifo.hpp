@@ -5,11 +5,14 @@
 // AsyncPutPart + AsyncGetPart glued by the serialized DV net. There are no
 // clocks, detectors or synchronizers: a full FIFO withholds put_ack, an
 // empty FIFO withholds get_ack.
+//
+// Armed runs get the same per-cell hooks and observer/monitor wiring as the
+// other three designs (fifo::CellArray): a handshake monitor on the put
+// interface and the stream scoreboard.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
@@ -38,14 +41,17 @@ class AsyncAsyncFifo {
   sim::Word& get_data() noexcept { return *get_data_; }
 
   // --- diagnostics ---
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
+  std::uint64_t overflow_count() const noexcept {
+    return cells_->overflow_count();
+  }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_->underflow_count();
+  }
+  unsigned occupancy() const { return cells_->occupancy(); }
 
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
 
@@ -55,12 +61,7 @@ class AsyncAsyncFifo {
   sim::Wire* get_req_ = nullptr;
   sim::Wire* get_ack_ = nullptr;
   sim::Word* get_data_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
+  CellArray* cells_ = nullptr;
 };
 
 }  // namespace mts::fifo

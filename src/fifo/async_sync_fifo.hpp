@@ -19,18 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
-#include "sim/observe.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
-#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -56,14 +52,18 @@ class AsyncSyncFifo {
 
   // --- diagnostics / verification hooks ---
   gates::TimingDomain& get_domain() noexcept { return get_dom_; }
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
-  sim::Wire& cell_f(unsigned i) { return *f_.at(i); }
-  sim::Wire& cell_e(unsigned i) { return *e_.at(i); }
+  std::uint64_t overflow_count() const noexcept {
+    return cells_->overflow_count();
+  }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_->underflow_count();
+  }
+  unsigned occupancy() const { return cells_->occupancy(); }
+  sim::Wire& cell_f(unsigned i) { return *cells_->f().at(i); }
+  sim::Wire& cell_e(unsigned i) { return *cells_->e().at(i); }
   sim::Wire& ne_raw() noexcept { return *ne_raw_; }
   sim::Wire& oe_raw() noexcept { return *oe_raw_; }
-  sim::Wire& en_get() noexcept { return *en_get_b_; }
+  sim::Wire& en_get() noexcept { return cells_->get_enable(); }
 
   /// Minimum CLK_get period (same structure as the mixed-clock design).
   sim::Time get_min_period() const;
@@ -71,7 +71,6 @@ class AsyncSyncFifo {
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
   gates::TimingDomain get_dom_;
@@ -82,23 +81,11 @@ class AsyncSyncFifo {
   sim::Wire* req_get_ = nullptr;
   sim::Wire* stop_in_ = nullptr;
   sim::Word* data_get_ = nullptr;
-  sim::Wire* valid_bus_ = nullptr;
   sim::Wire* valid_ext_ = nullptr;
   sim::Wire* empty_w_ = nullptr;
   sim::Wire* ne_raw_ = nullptr;
   sim::Wire* oe_raw_ = nullptr;
-  sim::Wire* en_get_b_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
-  /// Non-null only when observability was armed at construction time.
-  std::unique_ptr<sim::TransitObserver> obs_;
-  /// Non-null only when a verify::Hub was armed at construction time:
-  /// 4-phase handshake + bundled-data + detector + scoreboard checkers.
-  std::unique_ptr<verify::MonitorSet> mon_;
+  CellArray* cells_ = nullptr;
 };
 
 }  // namespace mts::fifo

@@ -3,21 +3,32 @@
 // controller (DV)... these parts can be glued together ... to obtain a cell
 // implementation.").
 //
-// The four FIFO designs are assembled from these parts:
+// One CellArray glues them into the circular cell array of every FIFO
+// design; its put and get kinds select the parts:
 //
-//   mixed-clock  = SyncPutPart  + SyncGetPart  + SR-latch DV
-//   async-sync   = AsyncPutPart + SyncGetPart  + DV_as Petri net
-//   sync-async   = SyncPutPart  + AsyncGetPart + DV_linear Petri net
-//   async-async  = AsyncPutPart + AsyncGetPart + DV_linear Petri net  ([4])
+//   put, get      design       parts
+//   sync, sync    mixed-clock  SyncPutPart  + SyncGetPart  + SR-latch DV
+//   async, sync   async-sync   AsyncPutPart + SyncGetPart  + DV_as net
+//   sync, async   sync-async   SyncPutPart  + AsyncGetPart + DV_linear net
+//   async, async  async-async  AsyncPutPart + AsyncGetPart + DV_linear ([4])
+//
+// (DvKind::kConservative swaps the mixed-clock SR latch for DV_linear.)
+// Each FIFO class adds only what lies outside the cells: its external
+// wires and its SyncPutSide/SyncGetSide or ack OR trees.
 #pragma once
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "ctrl/burst_mode.hpp"
-#include "ctrl/petri.hpp"
 #include "fifo/config.hpp"
 #include "gates/flops.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
+#include "sim/observe.hpp"
 #include "sim/signal.hpp"
+#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -112,19 +123,113 @@ class AsyncGetPart {
   sim::Wire* gtok_ = nullptr;
 };
 
-/// Petri-net data-validity controller wrapper: owns the e_i/f_i wires and
-/// the engine executing the given net (dv_as_net or dv_linear_net).
-class DvController {
- public:
-  DvController(gates::Netlist& nl, unsigned index, const ctrl::PetriNet& net,
-               sim::Wire& we, sim::Wire& re, sim::Time output_delay);
+/// One interface of a cell array. A synchronous side names its clock and
+/// timing domain; an asynchronous (4-phase bundled-data) side leaves both
+/// null.
+struct CellPort {
+  sim::Wire* clk = nullptr;
+  gates::TimingDomain* domain = nullptr;
+  /// Put: req_put (sync; also the item's validity bit) or put_req (async).
+  /// Get: get_req (async); a sync get side's req_get feeds SyncGetSide.
+  sim::Wire* req = nullptr;
+  /// Put: the data input. Get: the word the tri-state data bus drives.
+  sim::Word* data = nullptr;
 
-  sim::Wire& e() const noexcept { return *e_; }
-  sim::Wire& f() const noexcept { return *f_; }
+  bool sync() const noexcept { return clk != nullptr; }
+};
+
+/// Wires of the interface sides (SyncPutSide, SyncGetSide, ack OR trees)
+/// that the cell array's observer and monitors read. Each side sets the
+/// fields of its kind; the rest stay null.
+struct SideTaps {
+  sim::Wire* full_raw = nullptr;  ///< sync put: unsynchronized full
+  sim::Wire* ne_raw = nullptr;    ///< sync get: anticipating empty
+  sim::Wire* oe_raw = nullptr;    ///< sync get: true empty
+  sim::Wire* empty = nullptr;     ///< sync get: synchronized empty
+  sim::Wire* stop_in = nullptr;   ///< sync get: relay back-pressure input
+  sim::Wire* put_ack = nullptr;   ///< async put: the acknowledgment
+};
+
+/// The circular cell array shared by all four FIFO designs (Section 4):
+/// the put-part and get-part rings, each cell's data-validity controller,
+/// the tri-state output buses, and the per-cell hooks that count data
+/// moves, flag over/underflow and feed the observer and the monitors.
+///
+/// A put is a transaction when its validity bit is set: req_put on a sync
+/// put side, always on an async one. A get is a transaction when the
+/// departing cell's validity is set: its v flop behind a sync put part,
+/// always behind an async one.
+class CellArray {
+ public:
+  /// Builds the cells. The FIFO then builds its interface sides from
+  /// e()/f(), the rings and the enables, and calls finish() once. `cfg`
+  /// must outlive the array (the owning FIFO's validated copy).
+  CellArray(gates::Netlist& nl, const FifoConfig& cfg, const CellPort& put,
+            const CellPort& get);
+
+  CellArray(const CellArray&) = delete;
+  CellArray& operator=(const CellArray&) = delete;
+
+  /// Attaches the observer's side listeners and, with a verify::Hub armed,
+  /// the monitor set: per sync put the ptok ring and full detector, per
+  /// sync get the gtok ring and ne/oe detectors, per async put the
+  /// handshake, and for every design the stream scoreboard.
+  void finish(const SideTaps& taps);
+
+  /// Sync side: the enable broadcast its SyncPutSide/SyncGetSide drives.
+  /// Async side: the buffered request broadcast to every C-element.
+  sim::Wire& put_enable() const noexcept { return *put_enable_; }
+  sim::Wire& get_enable() const noexcept { return *get_enable_; }
+  /// The cells' validity bus (sync get side only).
+  sim::Wire& valid_bus() const noexcept { return *valid_bus_; }
+
+  /// Per-cell DV state, in ring order.
+  const std::vector<sim::Wire*>& e() const noexcept { return e_; }
+  const std::vector<sim::Wire*>& f() const noexcept { return f_; }
+  /// Token rings: ptok (sync put) or we (async put); gtok (sync get) or re
+  /// (async get). The async rings' wires are also the acknowledgments.
+  const std::vector<sim::Wire*>& put_ring() const noexcept { return put_ring_; }
+  const std::vector<sim::Wire*>& get_ring() const noexcept { return get_ring_; }
+
+  /// Number of cells currently holding a data item (f_i set).
+  unsigned occupancy() const;
+  std::uint64_t overflow_count() const noexcept { return overflows_; }
+  std::uint64_t underflow_count() const noexcept { return underflows_; }
+  /// Register-write events (cell enqueues): with immobile data this is
+  /// exactly one per item -- the paper's low-power argument (Section 2).
+  std::uint64_t data_moves() const noexcept { return data_moves_; }
 
  private:
-  sim::Wire* e_ = nullptr;
-  sim::Wire* f_ = nullptr;
+  struct Cell {
+    sim::Wire* valid;  ///< v flop (sync put) or vcc (async put)
+    sim::Word* reg;    ///< the cell's data register
+  };
+
+  void on_put(unsigned i);
+  void on_get(unsigned i);
+  void protocol_error(verify::Invariant invariant);
+
+  gates::Netlist& nl_;
+  const FifoConfig& cfg_;
+  CellPort put_;
+  CellPort get_;
+  sim::Wire* put_enable_ = nullptr;
+  sim::Wire* get_enable_ = nullptr;
+  sim::Wire* put_valid_ = nullptr;
+  sim::Wire* valid_bus_ = nullptr;
+  std::vector<sim::Wire*> put_ring_;
+  std::vector<sim::Wire*> get_ring_;
+  std::vector<sim::Wire*> e_;
+  std::vector<sim::Wire*> f_;
+  std::vector<Cell> cells_;
+  std::uint64_t overflows_ = 0;
+  std::uint64_t underflows_ = 0;
+  std::uint64_t data_moves_ = 0;
+  /// Non-null only when the Simulation had observability armed at
+  /// construction time (sim/observe.hpp); the seed path keeps a nullptr.
+  std::unique_ptr<sim::TransitObserver> obs_;
+  /// Non-null only when a verify::Hub was armed at finish() time.
+  std::unique_ptr<verify::MonitorSet> mon_;
 };
 
 }  // namespace mts::fifo

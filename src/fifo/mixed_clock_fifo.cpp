@@ -1,32 +1,17 @@
 #include "fifo/mixed_clock_fifo.hpp"
 
-#include <utility>
-
-#include "ctrl/specs.hpp"
-#include "fifo/detectors.hpp"
 #include "fifo/interface_sides.hpp"
-#include "gates/combinational.hpp"
-#include "gates/latch.hpp"
-#include "sim/error.hpp"
 
 namespace mts::fifo {
 
 MixedClockFifo::MixedClockFifo(sim::Simulation& sim, const std::string& name,
                                const FifoConfig& cfg, sim::Wire& clk_put,
                                sim::Wire& clk_get)
-    : sim_(sim),
-      cfg_(cfg),
+    : cfg_(cfg),
       nl_(sim, name),
       put_dom_(sim, name + ".put"),
       get_dom_(sim, name + ".get") {
   cfg_.validate();
-  const unsigned n = cfg_.capacity;
-  const gates::DelayModel& dm = cfg_.dm;
-
-  if (sim::Observability* o = sim.observability()) {
-    obs_ = std::make_unique<sim::TransitObserver>(
-        *o, sim, name, clk_put.name(), clk_get.name(), n);
-  }
 
   // --- external interface wires ---
   req_put_ = &nl_.wire("req_put");
@@ -34,184 +19,32 @@ MixedClockFifo::MixedClockFifo(sim::Simulation& sim, const std::string& name,
   req_get_ = &nl_.wire("req_get");
   stop_in_ = &nl_.wire("stop_in");
   data_get_ = &nl_.word("data_get");
-  valid_bus_ = &nl_.wire("valid_bus");
   valid_ext_ = &nl_.wire("valid_get");
   empty_w_ = &nl_.wire("empty", true);
 
-  // --- broadcast enables (driven by the interface sides below) ---
-  en_put_b_ = &nl_.wire("en_put_b");
-  en_get_b_ = &nl_.wire("en_get_b");
-
-  // --- token rings ---
-  std::vector<sim::Wire*> ptok(n);
-  std::vector<sim::Wire*> gtok(n);
-  for (unsigned i = 0; i < n; ++i) {
-    ptok[i] = &nl_.wire("c" + std::to_string(i) + ".ptok", i == 0);
-    gtok[i] = &nl_.wire("c" + std::to_string(i) + ".gtok", i == 0);
-  }
-  ptok_ = ptok;
-  gtok_ = gtok;
-
-  // --- shared output buses ---
-  auto& data_bus = nl_.add<gates::TristateBus<std::uint64_t>>(
-      sim, nl_.qualified("get_data_bus"), *data_get_,
-      dm.tristate_bus(n, cfg_.width));
-  auto& valid_tbus = nl_.add<gates::TristateBus<bool>>(
-      sim, nl_.qualified("valid_bus_ts"), *valid_bus_, dm.tristate_bus(n, 1));
-
   // --- cells: sync put part + sync get part + SR-latch DV (Fig. 5) ---
-  e_.resize(n);
-  f_.resize(n);
-  for (unsigned i = 0; i < n; ++i) {
-    const std::string ci = "c" + std::to_string(i);
-    auto& put_part = nl_.add<SyncPutPart>(nl_, i, clk_put, *en_put_b_,
-                                          *ptok[(i + n - 1) % n], *ptok[i],
-                                          *data_put_, *req_put_, cfg_, &put_dom_,
-                                          i == 0);
-    auto& get_part = nl_.add<SyncGetPart>(nl_, i, clk_get, *en_get_b_,
-                                          *gtok[(i + n - 1) % n], *gtok[i], cfg_,
-                                          &get_dom_, i == 0);
-
-    // Data-validity controller: the paper's SR latch (set on put, reset on
-    // get, both asynchronous to the opposite clock -- Section 3.1 actions
-    // (b)), or the serialized conservative net (see DvKind).
-    e_[i] = &nl_.wire(ci + ".e", true);
-    f_[i] = &nl_.wire(ci + ".f", false);
-    if (cfg_.dv_kind == DvKind::kSrLatch) {
-      nl_.add<gates::SrLatch>(sim, nl_.qualified(ci + ".dv"), put_part.we(),
-                              get_part.re(), *f_[i], *e_[i], dm.sr_latch, false);
-    } else {
-      nl_.add<ctrl::PetriEngine>(
-          sim, nl_.qualified(ci + ".dv"), ctrl::dv_linear_net(),
-          std::vector<sim::Wire*>{&put_part.we(), &get_part.re()},
-          std::vector<sim::Wire*>{e_[i], f_[i]}, dm.sr_latch);
-    }
-
-    data_bus.attach_driver(get_part.re(), put_part.reg_q());
-    valid_tbus.attach_driver(get_part.re(), put_part.v_q());
-
-    // Over/underflow monitors: an enabled put on a full cell or an enabled
-    // get on an empty cell is a protocol failure (the max-frequency search
-    // and the detector ablations count these).
-    sim::Wire* fw = f_[i];
-    put_part.we().on_rise([this, fw] {
-      ++data_moves_;  // one register write per enqueue; data never moves again
-      if (fw->read()) {
-        ++overflows_;
-        sim_.report().add(sim_.now(), sim::Severity::kError, "overflow",
-                          nl_.prefix() + ": put into a full cell");
-        if (mon_ != nullptr) {
-          verify::Violation v;
-          v.time = sim_.now();
-          v.invariant = verify::Invariant::kOverflow;
-          v.site = nl_.prefix();
-          v.observed = "put into a full cell";
-          v.expected = "puts only while a cell is empty";
-          mon_->hub->report(std::move(v));
-        }
-      }
-      // we rises mid-cycle, before the latching edge: data_put/req_put still
-      // carry the committing item. Relay mode enqueues void packets every
-      // cycle; only valid ones become transactions.
-      if (req_put_->read()) {
-        std::uint64_t txn = 0;
-        if (obs_ != nullptr) {
-          txn = obs_->put_committed(data_put_->read(), occupancy() + 1);
-        }
-        if (mon_ != nullptr) mon_->stream->put(data_put_->read(), txn);
-      }
-    });
-    sim::Wire* vq = &put_part.v_q();
-    sim::Word* rq = &put_part.reg_q();
-    get_part.re().on_rise([this, fw, vq, rq] {
-      if (!fw->read()) {
-        ++underflows_;
-        sim_.report().add(sim_.now(), sim::Severity::kError, "underflow",
-                          nl_.prefix() + ": get from an empty cell");
-        if (mon_ != nullptr) {
-          verify::Violation v;
-          v.time = sim_.now();
-          v.invariant = verify::Invariant::kUnderflow;
-          v.site = nl_.prefix();
-          v.observed = "get from an empty cell";
-          v.expected = "gets only while an item is resident";
-          mon_->hub->report(std::move(v));
-        }
-      }
-      // At re-rise the cell's registered outputs hold the departing item.
-      if (vq->read()) {
-        std::uint64_t txn = 0;
-        if (obs_ != nullptr) {
-          const unsigned occ = occupancy();
-          txn = obs_->get_observed(rq->read(), occ > 0 ? occ - 1 : 0);
-        }
-        if (mon_ != nullptr) mon_->stream->get(rq->read(), txn);
-      }
-    });
-  }
+  cells_ = &nl_.add<CellArray>(
+      nl_, cfg_, CellPort{&clk_put, &put_dom_, req_put_, data_put_},
+      CellPort{&clk_get, &get_dom_, nullptr, data_get_});
 
   // --- interface sides: detectors, synchronizers, controllers ---
-  auto& put_side = nl_.add<SyncPutSide>(nl_, clk_put, cfg_, put_dom_, e_,
-                                        *req_put_, *en_put_b_);
+  auto& put_side = nl_.add<SyncPutSide>(nl_, clk_put, cfg_, put_dom_,
+                                        cells_->e(), *req_put_,
+                                        cells_->put_enable());
   full_raw_ = &put_side.full_raw();
   full_ext_ = &put_side.full_ext();
 
-  auto& get_side = nl_.add<SyncGetSide>(nl_, clk_get, cfg_, get_dom_, f_,
-                                        *req_get_, *stop_in_, *valid_bus_,
-                                        *valid_ext_, *empty_w_, *en_get_b_);
+  auto& get_side = nl_.add<SyncGetSide>(
+      nl_, clk_get, cfg_, get_dom_, cells_->f(), *req_get_, *stop_in_,
+      cells_->valid_bus(), *valid_ext_, *empty_w_, cells_->get_enable());
   ne_raw_ = &get_side.ne_raw();
   oe_raw_ = &get_side.oe_raw();
 
-  if (obs_ != nullptr) {
-    // The synchronized empty flag falling is the moment the oldest item
-    // becomes visible to the get clock domain -- the sync-crossing span.
-    empty_w_->on_fall([this] { obs_->sync_crossed(); });
-    if (cfg_.controller == ControllerKind::kRelayStation) {
-      // Relay-station mode: a cycle where stopIn holds back a resident item
-      // is a back-pressure stall (the chain stall spans of Section 5.2).
-      clk_get.on_rise([this] {
-        if (stop_in_->read() && !empty_w_->read()) obs_->stalled_by_stop_in();
-      });
-    }
-  }
-
-  // --- protocol-invariant monitors (armed runs only) ---
-  // Built last so the we/re listeners above (which test mon_ at run time)
-  // and all checked wires already exist. Every checker is read-only and
-  // draws from no RNG: an armed run's waveforms match the unarmed run.
-  if (verify::Hub* hub = sim.monitors()) {
-    mon_ = std::make_unique<verify::MonitorSet>();
-    mon_->hub = hub;
-    const unsigned full_win = cfg_.full_kind == FullDetectorKind::kAnticipating
-                                  ? anticipation_window(cfg_.sync.depth)
-                                  : 1;
-    const unsigned ne_win = anticipation_window(cfg_.sync.depth);
-    // Worst-case detector tree latency after a DV-latch commit, plus one
-    // 2-input gate of margin: a mismatch older than this is a real fault.
-    const sim::Time settle =
-        dm.sr_latch + detector_delay(n, ne_win, dm) + dm.gate(2);
-    mon_->rings.push_back(std::make_unique<verify::TokenRingMonitor>(
-        *hub, sim, nl_.prefix() + ".ptok", ptok_, clk_put));
-    mon_->rings.push_back(std::make_unique<verify::TokenRingMonitor>(
-        *hub, sim, nl_.prefix() + ".gtok", gtok_, clk_get));
-    mon_->detectors.push_back(std::make_unique<verify::DetectorMonitor>(
-        *hub, sim, nl_.prefix() + ".full", verify::Invariant::kFullDetector,
-        e_, *full_raw_, full_win, clk_put, settle));
-    mon_->detectors.push_back(std::make_unique<verify::DetectorMonitor>(
-        *hub, sim, nl_.prefix() + ".ne", verify::Invariant::kEmptyDetector,
-        f_, *ne_raw_, ne_win, clk_get, settle));
-    mon_->detectors.push_back(std::make_unique<verify::DetectorMonitor>(
-        *hub, sim, nl_.prefix() + ".oe", verify::Invariant::kEmptyDetector,
-        f_, *oe_raw_, 1, clk_get, settle));
-    mon_->stream = std::make_unique<verify::StreamMonitor>(*hub, sim,
-                                                           nl_.prefix());
-  }
-}
-
-unsigned MixedClockFifo::occupancy() const {
-  unsigned count = 0;
-  for (const sim::Wire* f : f_) count += f->read() ? 1u : 0u;
-  return count;
+  cells_->finish(SideTaps{.full_raw = full_raw_,
+                          .ne_raw = ne_raw_,
+                          .oe_raw = oe_raw_,
+                          .empty = empty_w_,
+                          .stop_in = stop_in_});
 }
 
 sim::Time MixedClockFifo::put_min_period() const {

@@ -19,20 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
-#include "gates/tristate.hpp"
-#include "sim/observe.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
-#include "sync/synchronizer.hpp"
-#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -62,24 +56,28 @@ class MixedClockFifo {
   // --- diagnostics / verification hooks ---
   gates::TimingDomain& put_domain() noexcept { return put_dom_; }
   gates::TimingDomain& get_domain() noexcept { return get_dom_; }
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
+  std::uint64_t overflow_count() const noexcept {
+    return cells_->overflow_count();
+  }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_->underflow_count();
+  }
   /// Register-write events (cell enqueues): with immobile data this is
   /// exactly one per item -- the paper's low-power argument (Section 2).
-  std::uint64_t data_moves() const noexcept { return data_moves_; }
+  std::uint64_t data_moves() const noexcept { return cells_->data_moves(); }
   /// Number of cells currently holding a data item (f_i set).
-  unsigned occupancy() const;
-  sim::Wire& cell_f(unsigned i) { return *f_.at(i); }
-  sim::Wire& cell_e(unsigned i) { return *e_.at(i); }
+  unsigned occupancy() const { return cells_->occupancy(); }
+  sim::Wire& cell_f(unsigned i) { return *cells_->f().at(i); }
+  sim::Wire& cell_e(unsigned i) { return *cells_->e().at(i); }
   /// Token-ring state, for verification harnesses (fault injection into a
   /// ring is how the token-ring monitor's positive path is exercised).
-  sim::Wire& put_token(unsigned i) { return *ptok_.at(i); }
-  sim::Wire& get_token(unsigned i) { return *gtok_.at(i); }
+  sim::Wire& put_token(unsigned i) { return *cells_->put_ring().at(i); }
+  sim::Wire& get_token(unsigned i) { return *cells_->get_ring().at(i); }
   sim::Wire& full_raw() noexcept { return *full_raw_; }
   sim::Wire& ne_raw() noexcept { return *ne_raw_; }
   sim::Wire& oe_raw() noexcept { return *oe_raw_; }
-  sim::Wire& en_put() noexcept { return *en_put_b_; }
-  sim::Wire& en_get() noexcept { return *en_get_b_; }
+  sim::Wire& en_put() noexcept { return cells_->put_enable(); }
+  sim::Wire& en_get() noexcept { return cells_->get_enable(); }
 
   // --- static timing (DESIGN.md section 7; validated by simulation) ---
   /// Minimum CLK_put period: the cycle-limiting path
@@ -94,7 +92,6 @@ class MixedClockFifo {
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
   gates::TimingDomain put_dom_;
@@ -105,30 +102,13 @@ class MixedClockFifo {
   sim::Wire* req_get_ = nullptr;
   sim::Wire* stop_in_ = nullptr;
   sim::Word* data_get_ = nullptr;
-  sim::Wire* valid_bus_ = nullptr;
   sim::Wire* valid_ext_ = nullptr;
   sim::Wire* empty_w_ = nullptr;
   sim::Wire* full_ext_ = nullptr;
   sim::Wire* full_raw_ = nullptr;
   sim::Wire* ne_raw_ = nullptr;
   sim::Wire* oe_raw_ = nullptr;
-  sim::Wire* en_put_b_ = nullptr;
-  sim::Wire* en_get_b_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-  std::vector<sim::Wire*> ptok_;
-  std::vector<sim::Wire*> gtok_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
-  std::uint64_t data_moves_ = 0;
-  /// Non-null only when the owning Simulation had observability armed at
-  /// construction time (sim/observe.hpp); the seed path keeps a nullptr.
-  std::unique_ptr<sim::TransitObserver> obs_;
-  /// Non-null only when a verify::Hub was armed at construction time:
-  /// token-ring + detector-consistency + scoreboard checkers.
-  std::unique_ptr<verify::MonitorSet> mon_;
+  CellArray* cells_ = nullptr;
 };
 
 }  // namespace mts::fifo

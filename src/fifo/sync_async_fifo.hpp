@@ -15,18 +15,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "fifo/cell_parts.hpp"
 #include "fifo/config.hpp"
 #include "gates/netlist.hpp"
 #include "gates/timing.hpp"
-#include "sim/observe.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
-#include "verify/checkers.hpp"
 
 namespace mts::fifo {
 
@@ -50,12 +46,16 @@ class SyncAsyncFifo {
 
   // --- diagnostics / verification hooks ---
   gates::TimingDomain& put_domain() noexcept { return put_dom_; }
-  std::uint64_t overflow_count() const noexcept { return overflows_; }
-  std::uint64_t underflow_count() const noexcept { return underflows_; }
-  unsigned occupancy() const;
-  sim::Wire& cell_f(unsigned i) { return *f_.at(i); }
-  sim::Wire& cell_e(unsigned i) { return *e_.at(i); }
-  sim::Wire& en_put() noexcept { return *en_put_b_; }
+  std::uint64_t overflow_count() const noexcept {
+    return cells_->overflow_count();
+  }
+  std::uint64_t underflow_count() const noexcept {
+    return cells_->underflow_count();
+  }
+  unsigned occupancy() const { return cells_->occupancy(); }
+  sim::Wire& cell_f(unsigned i) { return *cells_->f().at(i); }
+  sim::Wire& cell_e(unsigned i) { return *cells_->e().at(i); }
+  sim::Wire& en_put() noexcept { return cells_->put_enable(); }
 
   /// Minimum CLK_put period (same structure as the mixed-clock design).
   sim::Time put_min_period() const;
@@ -63,7 +63,6 @@ class SyncAsyncFifo {
   const FifoConfig& config() const noexcept { return cfg_; }
 
  private:
-  sim::Simulation& sim_;
   FifoConfig cfg_;
   gates::Netlist nl_;
   gates::TimingDomain put_dom_;
@@ -74,17 +73,7 @@ class SyncAsyncFifo {
   sim::Wire* get_req_ = nullptr;
   sim::Wire* get_ack_ = nullptr;
   sim::Word* get_data_ = nullptr;
-  sim::Wire* en_put_b_ = nullptr;
-
-  std::vector<sim::Wire*> e_;
-  std::vector<sim::Wire*> f_;
-
-  std::uint64_t overflows_ = 0;
-  std::uint64_t underflows_ = 0;
-  /// Non-null only when observability was armed at construction time.
-  std::unique_ptr<sim::TransitObserver> obs_;
-  /// Non-null only when a verify::Hub was armed at construction time.
-  std::unique_ptr<verify::MonitorSet> mon_;
+  CellArray* cells_ = nullptr;
 };
 
 }  // namespace mts::fifo

@@ -92,7 +92,7 @@ void Telemetry::take_sample(Time t) {
   // Full registry snapshot: counters and gauges by value, histograms as
   // sliding-window percentiles (cumulative-bucket fallback when no window
   // is armed). Registry visit order is (instance, metric) map order.
-  if (cfg_.sample_registry && registry_ != nullptr) {
+  if (registry_ != nullptr) {
     registry_->visit(
         [&](const std::string& inst, const std::string& name,
             const metrics::Counter& c) {

@@ -71,9 +71,6 @@ struct TelemetryConfig {
   /// histograms created while armed; windowed p50/p95/p99/p99.9 are sampled
   /// per tick. 0 falls back to cumulative bucket percentiles.
   std::size_t histogram_window = 1024;
-  /// Snapshot the whole metrics::Registry each tick (counters, gauges,
-  /// histogram window percentiles). Sources sample regardless.
-  bool sample_registry = true;
   /// Emit host-dependent kernel series (pool_high_water). Off by default:
   /// campaign timelines must be worker-count independent and arenas warm
   /// differently per worker.
@@ -105,8 +102,9 @@ class Telemetry {
   }
   std::size_t source_count() const noexcept { return sources_.size(); }
 
-  /// Registry snapshotted each tick when `sample_registry` is set
-  /// (Observability::arm wires the bundle's registry automatically).
+  /// Registry snapshotted each tick: counters, gauges and histogram window
+  /// percentiles (Observability::arm wires the bundle's registry
+  /// automatically).
   void set_registry(const metrics::Registry* r) noexcept { registry_ = r; }
 
   /// Merges this store's counter tracks into `t`'s to_json() output (one

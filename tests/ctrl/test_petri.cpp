@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ctrl/specs.hpp"
 #include "sim/error.hpp"
 #include "sim/simulation.hpp"
 
@@ -66,6 +67,27 @@ TEST(Petri, OutputTransitionsFireEagerlyAndCascade) {
   EXPECT_TRUE(x.read());
   EXPECT_TRUE(y.read());
   EXPECT_TRUE(eng.marked(2));
+}
+
+TEST(Petri, DvLinearNetStartsEmptyAndFillsOnWritePulse) {
+  // A FIFO cell's DV controller as the cell array builds it: e_i starts
+  // set, and a complete we pulse leaves the cell full.
+  sim::Simulation sim;
+  sim::Wire we(sim, "we");
+  sim::Wire re(sim, "re");
+  sim::Wire e(sim, "e", true);
+  sim::Wire f(sim, "f");
+  PetriEngine dv(sim, "dv", dv_linear_net(), {&we, &re}, {&e, &f}, 25);
+  sim.run_until(1'000);
+  EXPECT_TRUE(e.read());
+  EXPECT_FALSE(f.read());
+
+  we.set(true);
+  sim.run_until(2'000);
+  we.set(false);
+  sim.run_until(3'000);
+  EXPECT_FALSE(e.read());
+  EXPECT_TRUE(f.read());
 }
 
 TEST(Petri, UnexpectedEdgeReported) {

@@ -10,11 +10,16 @@
 //   3. the monitor read-only contract: a run with an armed verify::Hub
 //      (monitors attached, nothing violated) must be bit-identical as well.
 //
+// Two further traces pin the FIFO designs Fig. 3 does not draw: a
+// sync-put/async-get exchange on SyncAsyncFifo and a fully self-timed
+// exchange on AsyncAsyncFifo. Together the four traces cover every
+// put-part x get-part combination of the shared cell array.
+//
 // Regenerating the goldens after an INTENDED timing change:
 //   ./tests/mts_test_faults --gtest_filter='GoldenWaveform.*' 2>&1 | \
 //       grep 'fnv1a='
-// then paste the printed hashes into kGoldenSyncHash / kGoldenAsyncHash
-// below (the failure message also prints both values).
+// then paste the printed hashes into the kGolden*Hash constants below
+// (the failure message also prints each value).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,9 +28,11 @@
 #include <string>
 
 #include "bfm/bfm.hpp"
+#include "fifo/async_async_fifo.hpp"
 #include "fifo/async_sync_fifo.hpp"
 #include "fifo/interface_sides.hpp"
 #include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/sync_async_fifo.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
 #include "sync/clock.hpp"
@@ -39,6 +46,9 @@ using sim::Time;
 // Committed golden hashes of the two Fig. 3 VCD files (FNV-1a 64-bit).
 constexpr std::uint64_t kGoldenSyncHash = 0xaf15d04f0b975cfeull;
 constexpr std::uint64_t kGoldenAsyncHash = 0xae0703a3183d1ca9ull;
+// Golden hashes of the sync-async and async-async traces (FNV-1a 64-bit).
+constexpr std::uint64_t kGoldenSyncAsyncHash = 0xce6a5dfc4410d4e0ull;
+constexpr std::uint64_t kGoldenAsyncAsyncHash = 0x96cd4bf1d5bede54ull;
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -123,6 +133,74 @@ std::uint64_t async_vcd_hash(const std::string& path, sim::FaultPlan* plan,
   return fnv1a(slurp(path));
 }
 
+/// Sync put, async get: three clocked puts into a FIFO whose 4-phase reader
+/// has been waiting on an empty FIFO since reset.
+std::uint64_t sync_async_vcd_hash(const std::string& path,
+                                  verify::Hub* hub = nullptr) {
+  fifo::FifoConfig cfg;
+  cfg.capacity = 4;
+  cfg.width = 8;
+  sim::Simulation sim(1);
+  if (hub != nullptr) hub->arm(sim);
+  const Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
+  sync::Clock cp(sim, "clk_put", {pp, 4 * pp, 0.5, 0});
+  fifo::SyncAsyncFifo dut(sim, "fifo", cfg, cp.out());
+  bfm::AsyncGetDriver get(sim, "get", dut.get_req(), dut.get_ack(),
+                          dut.get_data(), cfg.dm, pp / 2, nullptr);
+
+  sim::VcdWriter vcd(path);
+  vcd.watch(cp.out(), "clk_put");
+  vcd.watch(dut.req_put(), "req_put");
+  vcd.watch(dut.data_put(), 8, "data_put");
+  vcd.watch(dut.full(), "full");
+  vcd.watch(dut.get_req(), "get_req");
+  vcd.watch(dut.get_ack(), "get_ack");
+  vcd.watch(dut.get_data(), 8, "get_data");
+  vcd.start();
+
+  const Time react = cfg.dm.flop.clk_to_q + 1;
+  const Time t0 = 4 * pp + 4 * pp;
+  for (int k = 0; k < 3; ++k) {
+    sim.sched().at(t0 + static_cast<Time>(k) * pp + react, [&dut, k] {
+      dut.data_put().set(0x51 + static_cast<std::uint64_t>(k));
+      dut.req_put().set(true);
+    });
+  }
+  sim.sched().at(t0 + 3 * pp + react, [&dut] { dut.req_put().set(false); });
+  sim.run_until(t0 + 12 * pp);
+  vcd.finish();
+  return fnv1a(slurp(path));
+}
+
+/// Async put, async get: a paced writer and a slower reader exchanging
+/// 4-phase handshakes through a self-timed FIFO.
+std::uint64_t async_async_vcd_hash(const std::string& path,
+                                   verify::Hub* hub = nullptr) {
+  fifo::FifoConfig cfg;
+  cfg.capacity = 4;
+  cfg.width = 8;
+  sim::Simulation sim(1);
+  if (hub != nullptr) hub->arm(sim);
+  fifo::AsyncAsyncFifo dut(sim, "fifo", cfg);
+  const Time gap = 4 * cfg.dm.gate(2);
+  bfm::AsyncPutDriver put(sim, "put", dut.put_req(), dut.put_ack(),
+                          dut.put_data(), cfg.dm, gap, 0xFF, nullptr);
+  bfm::AsyncGetDriver get(sim, "get", dut.get_req(), dut.get_ack(),
+                          dut.get_data(), cfg.dm, 3 * gap, nullptr);
+
+  sim::VcdWriter vcd(path);
+  vcd.watch(dut.put_req(), "put_req");
+  vcd.watch(dut.put_ack(), "put_ack");
+  vcd.watch(dut.put_data(), 8, "put_data");
+  vcd.watch(dut.get_req(), "get_req");
+  vcd.watch(dut.get_ack(), "get_ack");
+  vcd.watch(dut.get_data(), 8, "get_data");
+  vcd.start();
+  sim.run_until(40 * gap);
+  vcd.finish();
+  return fnv1a(slurp(path));
+}
+
 TEST(GoldenWaveform, Fig3SyncVcdMatchesGolden) {
   const std::uint64_t h = sync_vcd_hash("golden_fig3_sync.vcd", nullptr);
   std::cout << "fnv1a= sync 0x" << std::hex << h << std::dec << "\n";
@@ -141,6 +219,22 @@ TEST(GoldenWaveform, Fig3AsyncVcdMatchesGolden) {
       << kGoldenAsyncHash
       << ". If the timing change is intended, update kGoldenAsyncHash (see "
          "the regeneration recipe in this file's header).";
+}
+
+TEST(GoldenWaveform, SyncAsyncVcdMatchesGolden) {
+  const std::uint64_t h = sync_async_vcd_hash("golden_sync_async.vcd");
+  std::cout << "fnv1a= sync_async 0x" << std::hex << h << std::dec << "\n";
+  EXPECT_EQ(h, kGoldenSyncAsyncHash)
+      << "golden_sync_async.vcd changed: got 0x" << std::hex << h
+      << ", golden 0x" << kGoldenSyncAsyncHash;
+}
+
+TEST(GoldenWaveform, AsyncAsyncVcdMatchesGolden) {
+  const std::uint64_t h = async_async_vcd_hash("golden_async_async.vcd");
+  std::cout << "fnv1a= async_async 0x" << std::hex << h << std::dec << "\n";
+  EXPECT_EQ(h, kGoldenAsyncAsyncHash)
+      << "golden_async_async.vcd changed: got 0x" << std::hex << h
+      << ", golden 0x" << kGoldenAsyncAsyncHash;
 }
 
 TEST(GoldenWaveform, ArmedButEmptyPlanIsBitIdentical) {
@@ -189,6 +283,18 @@ TEST(GoldenWaveform, ArmedMonitorHubIsBitIdentical) {
                            &async_hub),
             kGoldenAsyncHash);
   EXPECT_EQ(async_hub.total(), 0u) << async_hub.to_json();
+
+  verify::Hub sync_async_hub;
+  EXPECT_EQ(sync_async_vcd_hash("golden_sync_async_monitored.vcd",
+                                &sync_async_hub),
+            kGoldenSyncAsyncHash);
+  EXPECT_EQ(sync_async_hub.total(), 0u) << sync_async_hub.to_json();
+
+  verify::Hub async_async_hub;
+  EXPECT_EQ(async_async_vcd_hash("golden_async_async_monitored.vcd",
+                                 &async_async_hub),
+            kGoldenAsyncAsyncHash);
+  EXPECT_EQ(async_async_hub.total(), 0u) << async_async_hub.to_json();
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ctrl/specs.hpp"
 #include "sync/clock.hpp"
 
 namespace mts::fifo {
@@ -150,24 +149,6 @@ TEST(AsyncGetPartTest, HandshakeReadsOnlyFullCells) {
   sim.run_until(30'000);
   EXPECT_FALSE(part.re().read());
   EXPECT_FALSE(part.gtok().read());  // token released after the read
-}
-
-TEST(DvControllerTest, WrapsLinearNetWithInitialEmptyState) {
-  sim::Simulation sim;
-  gates::Netlist nl(sim, "t");
-  sim::Wire& we = nl.wire("we");
-  sim::Wire& re = nl.wire("re");
-  DvController dv(nl, 0, ctrl::dv_linear_net(), we, re, 25);
-  sim.run_until(1'000);
-  EXPECT_TRUE(dv.e().read());
-  EXPECT_FALSE(dv.f().read());
-
-  we.set(true);
-  sim.run_until(2'000);
-  we.set(false);
-  sim.run_until(3'000);
-  EXPECT_FALSE(dv.e().read());
-  EXPECT_TRUE(dv.f().read());
 }
 
 TEST(TokenMatchDelays, RelayControllersNeedLessMatching) {
