@@ -65,8 +65,8 @@ struct JobSpec {
   json::Value params = json::Value::object();
   std::size_t configs = 1;
   std::size_t reps = 1;
-  /// Engine options (workers / progress are process-local and ignored here;
-  /// the coordinator's own worker count lives in CoordinatorOptions).
+  /// Engine options (the worker count is process-local and ignored here;
+  /// the coordinator's own lives in CoordinatorOptions).
   sim::CampaignOptions opt;
   /// Non-empty: execute only these run indices (repro replay). Empty: the
   /// whole matrix.

@@ -268,12 +268,6 @@ Value run_result_to_json(const sim::RunResult& r) {
   if (!r.violations_json.empty()) {
     v.set("violations_json", Value(r.violations_json));
   }
-  if (!r.timeline_path.empty()) {
-    v.set("timeline_path", Value(r.timeline_path));
-  }
-  if (!r.timeline_jsonl.empty()) {
-    v.set("timeline_jsonl", Value(r.timeline_jsonl));
-  }
   if (r.telemetry_samples > 0) {
     v.set("telemetry_samples", Value::number_u64(r.telemetry_samples));
   }
@@ -306,8 +300,6 @@ sim::RunResult run_result_from_json(const Value& v) {
   r.repro_path = v.get_string("repro_path", "");
   r.violations = v.get_u64("violations", 0);
   r.violations_json = v.get_string("violations_json", "");
-  r.timeline_path = v.get_string("timeline_path", "");
-  r.timeline_jsonl = v.get_string("timeline_jsonl", "");
   r.telemetry_samples = v.get_u64("telemetry_samples", 0);
   r.slo_worst = v.get_double("slo_worst", 0.0);
   r.slo_worst_instance = v.get_string("slo_worst_instance", "");
@@ -330,8 +322,6 @@ Value options_to_json(const sim::CampaignOptions& opt) {
   v.set("telemetry_max_points",
         Value::number_size(opt.telemetry_max_points));
   v.set("telemetry_window", Value::number_size(opt.telemetry_window));
-  v.set("timeline_dir", Value(opt.timeline_dir));
-  v.set("capture_timelines", Value(opt.capture_timelines));
   Value slo = Value::object();
   slo.set("metric", Value(opt.slo.metric));
   slo.set("percentile", Value::number_double(opt.slo.percentile));
@@ -353,8 +343,6 @@ sim::CampaignOptions options_from_json(const Value& v) {
   opt.telemetry_interval = v.at("telemetry_interval").as_u64();
   opt.telemetry_max_points = v.at("telemetry_max_points").as_size();
   opt.telemetry_window = v.at("telemetry_window").as_size();
-  opt.timeline_dir = v.at("timeline_dir").as_string();
-  opt.capture_timelines = v.at("capture_timelines").as_bool();
   const Value& slo = v.at("slo");
   opt.slo.metric = slo.at("metric").as_string();
   opt.slo.percentile = slo.at("percentile").as_double();

@@ -67,9 +67,8 @@ sim::RunResult run_result_from_json(const json::Value& v);
 // -- sim::CampaignOptions (job shipping; process-local knobs excluded) ------
 
 /// Serializes the run-visible options: seeds, retry/deadline/violation
-/// knobs, telemetry and SLO configuration, artifact directories. The
-/// process-local members (workers, progress sink, health cadence) do not
-/// transit -- each process owns its own.
+/// knobs, telemetry and SLO configuration, the repro directory. The worker
+/// count does not transit -- each process owns its own.
 json::Value options_to_json(const sim::CampaignOptions& opt);
 sim::CampaignOptions options_from_json(const json::Value& v);
 

@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <typeinfo>
@@ -209,17 +207,7 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
     // body-written metrics (ctx.metrics()) fold.
     if (shard.tel != nullptr) {
       r.telemetry_samples = shard.tel->samples();
-      if (r.telemetry_samples > 0) {
-        if (!opt.timeline_dir.empty()) {
-          std::error_code ec;
-          std::filesystem::create_directories(opt.timeline_dir, ec);
-          const std::string path = opt.timeline_dir + "/run-" +
-                                   std::to_string(spec.index) + ".jsonl";
-          if (shard.tel->write_jsonl(path)) r.timeline_path = path;
-        }
-        if (opt.capture_timelines) r.timeline_jsonl = shard.tel->to_jsonl();
-        rec.timeline = shard.tel->store();
-      }
+      if (r.telemetry_samples > 0) rec.timeline = shard.tel->store();
     }
   }
 
@@ -286,20 +274,6 @@ struct Campaign::Cursor {
   ConfigLedger ledger;
 };
 
-/// Shared streaming-health tallies (progress sink). Guarded by one mutex:
-/// updates happen once per completed run, far off any hot path.
-struct Campaign::Live {
-  std::mutex mu;
-  std::size_t done = 0;
-  std::size_t failed = 0;
-  std::size_t quarantined = 0;
-  std::uint64_t slo_breaches = 0;
-  double worst = 0.0;
-  std::size_t worst_run = 0;
-  std::string worst_instance;
-  std::chrono::steady_clock::time_point t0;
-};
-
 void Campaign::worker_loop(std::vector<RunRecord>& records, RunShard& w,
                            unsigned worker_index, const Body& body) {
   for (;;) {
@@ -308,48 +282,7 @@ void Campaign::worker_loop(std::vector<RunRecord>& records, RunShard& w,
     if (i >= runs()) return;
     run_step(w, opt_, configs(), reps(), i, worker_index, body,
              &cursor_->ledger, records[i]);
-    if (live_ != nullptr) note_run_done(records[i].result);
   }
-}
-
-void Campaign::note_run_done(const RunResult& r) {
-  Live& lv = *live_;
-  std::lock_guard<std::mutex> lock(lv.mu);
-  ++lv.done;
-  if (!r.ok) {
-    ++lv.failed;
-    if (r.classification == "quarantined") ++lv.quarantined;
-  }
-  lv.slo_breaches += r.slo_breaches;
-  if (r.slo_worst > lv.worst) {
-    lv.worst = r.slo_worst;
-    lv.worst_run = r.index;
-    lv.worst_instance = r.slo_worst_instance;
-  }
-  if (!opt_.progress) return;
-  const bool last = lv.done == runs();
-  if (!last && (opt_.health_every == 0 || lv.done % opt_.health_every != 0)) {
-    return;
-  }
-  const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - lv.t0)
-                          .count();
-  std::ostringstream line;
-  line << "[campaign] " << lv.done << "/" << runs() << " runs, " << lv.failed
-       << " failed, " << lv.quarantined << " quarantined";
-  if (secs > 0.0) {
-    char rate[32];
-    std::snprintf(rate, sizeof rate, "%.2f",
-                  static_cast<double>(lv.done) / secs);
-    line << ", " << rate << " runs/s";
-  }
-  if (opt_.slo.budget > 0.0) line << ", " << lv.slo_breaches << " SLO breaches";
-  if (!lv.worst_instance.empty()) {
-    line << ", worst " << opt_.slo.metric << " p" << opt_.slo.percentile * 100.0
-         << " = " << lv.worst << " (" << lv.worst_instance << ", run "
-         << lv.worst_run << ")";
-  }
-  opt_.progress(line.str());
 }
 
 RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
@@ -465,9 +398,6 @@ void Campaign::run(const Body& body) {
   for (unsigned wi = 0; wi < workers; ++wi) shards.emplace_back(opt_);
 
   const auto t0 = std::chrono::steady_clock::now();
-  Live live;
-  live.t0 = t0;
-  live_ = opt_.progress ? &live : nullptr;
   if (workers == 1) {
     worker_loop(records, shards[0], 0, body);
   } else {
@@ -483,7 +413,6 @@ void Campaign::run(const Body& body) {
   const auto t1 = std::chrono::steady_clock::now();
   out_.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   cursor_ = nullptr;
-  live_ = nullptr;
 
   out_.results.reserve(n);
   for (RunRecord& rec : records) out_.fold(std::move(rec));
@@ -668,9 +597,6 @@ std::string CampaignOutcome::to_json(bool include_host_stats) const {
     if (r.violations > 0) os << ", \"violations\": " << r.violations;
     if (r.telemetry_samples > 0) {
       os << ", \"telemetry_samples\": " << r.telemetry_samples;
-    }
-    if (!r.timeline_path.empty()) {
-      os << ", \"timeline\": \"" << json_escape(r.timeline_path) << "\"";
     }
     if (r.slo_worst > 0.0) {
       os << ", \"slo_worst\": " << r.slo_worst << ", \"slo_worst_instance\": \""

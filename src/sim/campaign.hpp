@@ -160,30 +160,9 @@ struct CampaignOptions {
   std::size_t telemetry_max_points = 2048;
   /// Histogram sliding-window capacity while the sampler is armed.
   std::size_t telemetry_window = 512;
-  /// When non-empty, each sampled run writes its timeline to
-  /// <timeline_dir>/run-<index>.jsonl (directory is created). Content is a
-  /// pure function of (campaign seed, run index) -- worker-count
-  /// independent.
-  std::string timeline_dir;
-  /// Store each sampled run's timeline JSONL in RunResult::timeline_jsonl
-  /// (memory-heavy for big campaigns; prefer timeline_dir).
-  bool capture_timelines = false;
 
   /// Windowed-percentile SLO gate evaluated after every run (see SloGate).
   SloGate slo;
-
-  // -- streaming campaign health ------------------------------------------
-
-  /// Called with one formatted campaign-health line every `health_every`
-  /// completed runs (runs done/failed/quarantined, aggregate runs/sec,
-  /// worst slo.metric percentile so far). Invoked under the engine's
-  /// health lock, possibly from pool threads; keep it cheap. The line
-  /// includes wall-clock rates, so it is a live progress stream, NOT a
-  /// deterministic artifact -- that is health_json().
-  std::function<void(const std::string&)> progress;
-  /// Emit cadence for `progress`, in completed runs; 0 emits only the
-  /// final summary line (when `progress` is set).
-  std::size_t health_every = 0;
 };
 
 /// One cell of the run matrix, in row-major order over (config, rep).
@@ -216,8 +195,6 @@ struct RunResult {
   std::string violations_json;   ///< hub JSON when violations > 0
 
   // -- telemetry / SLO fields (engine telemetry or SLO armed only) --------
-  std::string timeline_path;   ///< per-run timeline file (timeline_dir)
-  std::string timeline_jsonl;  ///< capture_timelines only
   std::uint64_t telemetry_samples = 0;  ///< sampler ticks this run
   double slo_worst = 0.0;      ///< worst observed slo.metric percentile
   std::string slo_worst_instance;  ///< instance holding slo_worst
@@ -472,9 +449,6 @@ class Campaign {
  private:
   void worker_loop(std::vector<RunRecord>& records, RunShard& w,
                    unsigned worker_index, const Body& body);
-  /// Streaming-health bookkeeping after one run completes: updates the
-  /// shared tallies and emits a progress line on the configured cadence.
-  void note_run_done(const RunResult& r);
 
   CampaignOptions opt_;
   bool ran_ = false;
@@ -484,9 +458,6 @@ class Campaign {
   // which also holds the config-quarantine ledger (campaign.cpp-local type).
   struct Cursor;
   Cursor* cursor_ = nullptr;
-  // Streaming-health accounting (progress sink); campaign.cpp-local type.
-  struct Live;
-  Live* live_ = nullptr;
 };
 
 // -- the per-run step and its policy (shared with src/campaignd) ------------

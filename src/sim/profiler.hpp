@@ -25,7 +25,7 @@
 // timestamping"): per-site event counts stay exact, per-site wall time is
 // accurate to the block granularity, and the grand total is preserved to
 // the nanosecond. This cut the armed overhead from ~455% to well under 100%
-// of the dormant path (see BENCH_kernel.json "observability").
+// of the dormant path (see BENCH_kernel.json "chain").
 //
 // The block clock also absorbs kernel dispatch time between callbacks,
 // which the old two-reads-per-event scheme silently dropped -- armed wall

@@ -232,8 +232,6 @@ TEST(CampaigndSnapshots, RunResultRoundTripAllFields) {
   r.repro_path = "/tmp/run-11.json";
   r.violations = 4;
   r.violations_json = "[{\"kind\":\"setup\"}]";
-  r.timeline_path = "/tmp/run-11.jsonl";
-  r.timeline_jsonl = "{\"t\":0}\n";
   r.telemetry_samples = 17;
   r.slo_worst = 9.75;
   r.slo_worst_instance = "dut";
