@@ -10,10 +10,15 @@
 #include <sstream>
 #include <string>
 
+#include "bfm/bfm.hpp"
+#include "fifo/async_sync_fifo.hpp"
+#include "fifo/interface_sides.hpp"
+#include "fifo/mixed_clock_fifo.hpp"
 #include "metrics/registry.hpp"
 #include "sim/campaign.hpp"
 #include "sim/observe.hpp"
 #include "sim/telemetry.hpp"
+#include "sync/clock.hpp"
 
 namespace mts {
 namespace {
@@ -179,6 +184,84 @@ TEST(CampaignTelemetry, SloOnlyModeIsolatesRegistryWithoutSampler) {
     EXPECT_EQ(r.telemetry_samples, 0u);
   }
   EXPECT_TRUE(c.merged_timeline().empty());
+}
+
+/// Real-FIFO run body: config 0 is a saturated mixed-clock FIFO, config 1
+/// an async-sync FIFO fed by a saturating four-phase sender. Both arm the
+/// components' own telemetry sources and registry metrics (occupancy and
+/// latency histograms, transfer counters, synchronizer counters).
+void real_fifo_body(sim::CampaignContext& ctx) {
+  sim::Simulation& sim = ctx.sim();
+  fifo::FifoConfig cfg;
+  cfg.capacity = 4;
+  cfg.width = 8;
+  const Time gp = fifo::SyncGetSide::min_period(cfg);
+  const Time phase = static_cast<Time>(ctx.spec().seed % (gp / 2));
+  bfm::Scoreboard sb(sim, "sb");
+  if (ctx.spec().config == 0) {
+    const Time pp = fifo::SyncPutSide::min_period(cfg);
+    const Time settle = 4 * std::max(pp, gp);
+    sync::Clock cp(sim, "clk_put", {pp, settle, 0.5, 0});
+    sync::Clock cg(sim, "clk_get", {gp, settle + phase, 0.5, 0});
+    fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
+    bfm::PutMonitor pm(sim, cp.out(), dut.en_put(), dut.req_put(),
+                       dut.data_put(), sb);
+    bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
+    bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(),
+                           dut.data_put(), dut.full(), cfg.dm, {1.0, 1},
+                           0xFF);
+    bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
+                           {0.7, 1});
+    sim.run_until(settle + 120 * pp);
+  } else {
+    const Time settle = 4 * gp;
+    sync::Clock cg(sim, "clk_get", {gp, settle + phase, 0.5, 0});
+    fifo::AsyncSyncFifo dut(sim, "dut", cfg, cg.out());
+    bfm::AsyncPutDriver put(sim, "put", dut.put_req(), dut.put_ack(),
+                            dut.put_data(), cfg.dm, 0, 0xFF, &sb);
+    bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
+                           {0.7, 1});
+    bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
+    sim.run_until(settle + 120 * gp);
+  }
+  ctx.set("delivered", static_cast<double>(sb.popped()));
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Byte pin of the sampler's whole output on real components: series names,
+// values, decimation and the windowed percentiles (an 8-sample window, so
+// the rings wrap and the occupancy windows hold tied values). Any change to
+// how a tick is sampled must leave this hash unchanged.
+TEST(CampaignTelemetry, MergedTimelineMatchesGolden) {
+  sim::CampaignOptions opt;
+  opt.workers = 1;
+  opt.seed = 7;
+  opt.telemetry_interval = 2 * sim::kNanosecond;
+  opt.telemetry_max_points = 64;
+  opt.telemetry_window = 8;
+  opt.slo.metric = "latency_ps";
+  opt.slo.percentile = 0.99;
+  opt.slo.budget = 5'000;
+  sim::Campaign c(2, 2, opt);
+  c.run(real_fifo_body);
+  ASSERT_EQ(c.failed(), 0u);
+  for (const sim::RunResult& r : c.results()) {
+    EXPECT_GT(r.telemetry_samples, 100u) << "run " << r.index;
+    EXPECT_GT(r.scalars.at("delivered"), 20.0) << "run " << r.index;
+  }
+  const std::string timeline = c.merged_timeline().to_jsonl();
+  EXPECT_NE(timeline.find("dut.occupancy.p999"), std::string::npos);
+  EXPECT_NE(timeline.find("domain."), std::string::npos);
+  EXPECT_EQ(fnv1a(timeline + c.health_json()), 0xfe4b66047d087ce8ull)
+      << std::hex << fnv1a(timeline + c.health_json());
 }
 
 // --- Report::merge edge cases (the campaign reduction primitive) ----------
