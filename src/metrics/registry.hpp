@@ -186,18 +186,60 @@ class Histogram {
   /// -> window min; p >= 1 -> window max. p99.9 with fewer than 1000
   /// samples is the window max by construction.
   double window_percentile(double p) const {
-    if (window_count_ == 0) return 0.0;
-    std::vector<double> sorted(window_.begin(),
-                               window_.begin() +
-                                   static_cast<std::ptrdiff_t>(window_count_));
-    std::sort(sorted.begin(), sorted.end());
-    if (p <= 0.0) return sorted.front();
-    if (p >= 1.0) return sorted.back();
-    const auto n = static_cast<double>(window_count_);
-    std::size_t rank = static_cast<std::size_t>(std::ceil(p * n));
-    if (rank == 0) rank = 1;
-    if (rank > window_count_) rank = window_count_;
-    return sorted[rank - 1];
+    double v = 0.0;
+    std::vector<double> scratch;
+    window_percentiles(&p, 1, &v, scratch);
+    return v;
+  }
+
+  /// window_percentile() of each of ps[0..k) into out[0..k), exactly, in one
+  /// pass: the window is copied once into `scratch` (caller-owned, reused
+  /// across calls so a warm sampler allocates nothing) and each rank is one
+  /// std::nth_element. For ascending ps each selection runs over the tail
+  /// the previous one left unselected, so asking for more percentiles costs
+  /// less than one window each; any order is still exact.
+  void window_percentiles(const double* ps, std::size_t k, double* out,
+                          std::vector<double>& scratch) const {
+    const std::size_t n = window_count_;
+    if (n == 0) {
+      std::fill(out, out + k, 0.0);
+      return;
+    }
+    scratch.assign(window_.begin(),
+                   window_.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto at_index = [&scratch](std::size_t i) {
+      return scratch.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    // Once a selection has run, position `done` holds its sorted value and
+    // partitions the rest: scratch[0..done) <= scratch[done] <=
+    // scratch(done..n). n means nothing is placed yet.
+    std::size_t done = n;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double p = ps[i];
+      std::size_t rank = n;  // 1-based nearest rank; p >= 1 -> max
+      if (p <= 0.0) {
+        rank = 1;
+      } else if (p < 1.0) {
+        rank = std::clamp<std::size_t>(
+            static_cast<std::size_t>(std::ceil(p * static_cast<double>(n))),
+            1, n);
+      }
+      const std::size_t at = rank - 1;
+      if (at != done) {
+        auto first = scratch.begin();
+        auto last = scratch.end();
+        if (done < n) {
+          if (at > done) {
+            first = at_index(done + 1);
+          } else {
+            last = at_index(done);
+          }
+        }
+        std::nth_element(first, at_index(at), last);
+        done = at;
+      }
+      out[i] = scratch[at];
+    }
   }
 
   /// Campaign reduction: bucket-wise sum plus combined count/sum/min/max.
@@ -275,10 +317,10 @@ class Registry {
   /// registry's lifetime. histogram() ignores `upper_bounds` when the
   /// metric already exists.
   Counter& counter(const std::string& instance, const std::string& name) {
-    return instances_[instance].counters[name];
+    return resolve(instances_[instance].counters, name);
   }
   Gauge& gauge(const std::string& instance, const std::string& name) {
-    return instances_[instance].gauges[name];
+    return resolve(instances_[instance].gauges, name);
   }
   Histogram& histogram(const std::string& instance, const std::string& name,
                        std::vector<double> upper_bounds) {
@@ -287,9 +329,17 @@ class Registry {
     if (it == m.end()) {
       it = m.emplace(name, Histogram(std::move(upper_bounds))).first;
       if (default_window_ != 0) it->second.set_window(default_window_);
+      ++generation_;
     }
     return it->second;
   }
+
+  /// Bumped whenever the metric set changes: a metric is created (by the
+  /// accessors above or by merge()) or clear() drops them all. Metric
+  /// pointers taken at one generation stay valid while it holds, which is
+  /// what lets sim::Telemetry resolve its per-metric series once instead of
+  /// per tick.
+  std::uint64_t generation() const noexcept { return generation_; }
 
   /// Sliding-window capacity applied to histograms created *after* this
   /// call (sim::Telemetry arms it before components construct, so every
@@ -307,13 +357,18 @@ class Registry {
   void merge(const Registry& other) {
     for (const auto& [iname, oinst] : other.instances_) {
       Instance& inst = instances_[iname];
-      for (const auto& [n, c] : oinst.counters) inst.counters[n].merge(c);
-      for (const auto& [n, g] : oinst.gauges) inst.gauges[n].merge(g);
+      for (const auto& [n, c] : oinst.counters) {
+        resolve(inst.counters, n).merge(c);
+      }
+      for (const auto& [n, g] : oinst.gauges) {
+        resolve(inst.gauges, n).merge(g);
+      }
       for (const auto& [n, h] : oinst.histograms) {
         const auto it = inst.histograms.find(n);
         if (it == inst.histograms.end()) {
           inst.histograms.emplace(n, Histogram(h.bounds())).first->second.merge(
               h);
+          ++generation_;
         } else {
           it->second.merge(h);
         }
@@ -325,7 +380,10 @@ class Registry {
   /// returned earlier are invalidated -- only use between runs, before
   /// components re-resolve their metrics (the campaign engine's per-run
   /// isolation hook).
-  void clear() { instances_.clear(); }
+  void clear() {
+    instances_.clear();
+    ++generation_;
+  }
 
   /// Lookup without creation; nullptr when absent.
   const Counter* find_counter(const std::string& instance,
@@ -481,6 +539,14 @@ class Registry {
     std::map<std::string, Histogram> histograms;
   };
 
+  /// Resolve-or-create of a default-constructed metric (counters, gauges).
+  template <typename Map>
+  typename Map::mapped_type& resolve(Map& m, const std::string& name) {
+    const auto [it, created] = m.try_emplace(name);
+    if (created) ++generation_;
+    return it->second;
+  }
+
   template <typename Map>
   const typename Map::mapped_type* find(const std::string& instance,
                                         Map Instance::*member,
@@ -503,6 +569,7 @@ class Registry {
 
   std::map<std::string, Instance> instances_;
   std::size_t default_window_ = 0;  ///< window for histograms created later
+  std::uint64_t generation_ = 0;    ///< see generation()
 };
 
 }  // namespace mts::metrics

@@ -1,7 +1,9 @@
 #include "sim/telemetry.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
 #include <utility>
+#include <vector>
 
 #include "metrics/registry.hpp"
 #include "sim/simulation.hpp"
@@ -11,8 +13,12 @@
 namespace mts::sim {
 
 void Telemetry::attach_trace(TraceSession* t) {
-  if (t == nullptr) return;
-  t->set_extra_events_provider([this] { return store_.perfetto_events(); });
+  if (trace_ != nullptr) trace_->set_extra_events_provider(nullptr);
+  trace_ = t;
+  if (t != nullptr) {
+    t->set_extra_events_provider(
+        [this] { return store_.perfetto_events(); });
+  }
 }
 
 void Telemetry::start(Simulation& sim) {
@@ -42,22 +48,76 @@ void Telemetry::probe_fired() {
   }
 }
 
+void Telemetry::resolve_sources() {
+  // Rollup slots are the sorted (domain, kind) pairs, so rollup series are
+  // the same set whatever the source registration order.
+  std::vector<std::pair<std::string, std::string>> keys;
+  keys.reserve(sources_.size());
+  for (const Source& s : sources_) keys.emplace_back(s.domain, s.kind);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  rollups_.assign(keys.size(), Rollup{});
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    rollups_[i].series =
+        &store_.series("domain." + keys[i].first + "." + keys[i].second);
+  }
+  for (Source& s : sources_) {
+    s.series = &store_.series(s.instance + "." + s.kind);
+    const auto key = std::make_pair(s.domain, s.kind);
+    s.rollup = static_cast<std::size_t>(
+        std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
+  }
+  sources_resolved_ = true;
+}
+
+void Telemetry::bind_registry() {
+  // Registry visit order is (instance, metric) map order.
+  metrics_.clear();
+  registry_->visit(
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Counter& c) {
+        metrics_.push_back(MetricHandle{
+            .counter = &c, .series = {&store_.series(inst + "." + name)}});
+      },
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Gauge& g) {
+        metrics_.push_back(MetricHandle{
+            .gauge = &g, .series = {&store_.series(inst + "." + name)}});
+      },
+      [&](const std::string& inst, const std::string& name,
+          const metrics::Histogram& h) {
+        const std::string base = inst + "." + name;
+        metrics_.push_back(MetricHandle{
+            .histogram = &h,
+            .series = {&store_.series(base + ".p50"),
+                       &store_.series(base + ".p95"),
+                       &store_.series(base + ".p99"),
+                       &store_.series(base + ".p999")}});
+      });
+  metrics_generation_ = registry_->generation();
+  metrics_bound_ = true;
+}
+
+metrics::TimeSeries& Telemetry::builtin(metrics::TimeSeries*& handle,
+                                        const char* name) {
+  if (handle == nullptr) handle = &store_.series(name);
+  return *handle;
+}
+
 void Telemetry::take_sample(Time t) {
   ++samples_;
   const Time dt = t > last_t_ ? t - last_t_ : 0;
 
-  // Per-instance sources, then per-(domain, kind) rollups. std::map keys
-  // the rollups so their series append in sorted order -- deterministic
-  // regardless of source registration order.
-  std::map<std::pair<std::string, std::string>, double> rollup;
+  // Per-instance sources, then per-(domain, kind) rollups, each summed in
+  // source registration order.
+  if (!sources_resolved_) resolve_sources();
+  for (Rollup& r : rollups_) r.sum = 0.0;
   for (Source& s : sources_) {
     const double v = s.fn();
-    store_.append(s.instance + "." + s.kind, t, v);
-    rollup[{s.domain, s.kind}] += v;
+    s.series->append(t, v);
+    rollups_[s.rollup].sum += v;
   }
-  for (const auto& [key, sum] : rollup) {
-    store_.append("domain." + key.first + "." + key.second, t, sum);
-  }
+  for (const Rollup& r : rollups_) r.series->append(t, r.sum);
 
   // Kernel builtins. events_per_us is the interval-local event rate in
   // events per microsecond of SIM time -- a pure function of the event
@@ -65,14 +125,15 @@ void Telemetry::take_sample(Time t) {
   const std::uint64_t events = sim_->sched().events_executed();
   if (dt > 0) {
     const double us = static_cast<double>(dt) / 1e6;
-    store_.append("kernel.events_per_us", t,
-                  static_cast<double>(events - last_events_) / us);
+    builtin(builtins_.events_per_us, "kernel.events_per_us")
+        .append(t, static_cast<double>(events - last_events_) / us);
   }
-  store_.append("kernel.queue_depth", t,
-                static_cast<double>(sim_->sched().pending()));
+  builtin(builtins_.queue_depth, "kernel.queue_depth")
+      .append(t, static_cast<double>(sim_->sched().pending()));
   if (cfg_.include_host_series) {
-    store_.append("kernel.pool_high_water", t,
-                  static_cast<double>(sim_->sched().stats().pool_high_water));
+    builtin(builtins_.pool_high_water, "kernel.pool_high_water")
+        .append(t,
+                static_cast<double>(sim_->sched().stats().pool_high_water));
   }
   last_events_ = events;
 
@@ -80,40 +141,45 @@ void Telemetry::take_sample(Time t) {
   // (violations per microsecond of sim time).
   if (const verify::Hub* hub = sim_->monitors(); hub != nullptr) {
     const std::uint64_t total = hub->total();
-    store_.append("verify.violations", t, static_cast<double>(total));
+    builtin(builtins_.violations, "verify.violations")
+        .append(t, static_cast<double>(total));
     if (dt > 0) {
       const double us = static_cast<double>(dt) / 1e6;
-      store_.append("verify.violation_rate", t,
-                    static_cast<double>(total - last_violations_) / us);
+      builtin(builtins_.violation_rate, "verify.violation_rate")
+          .append(t, static_cast<double>(total - last_violations_) / us);
     }
     last_violations_ = total;
   }
 
   // Full registry snapshot: counters and gauges by value, histograms as
   // sliding-window percentiles (cumulative-bucket fallback when no window
-  // is armed). Registry visit order is (instance, metric) map order.
+  // is armed).
   if (registry_ != nullptr) {
-    registry_->visit(
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Counter& c) {
-          store_.append(inst + "." + name, t, static_cast<double>(c.value()));
-        },
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Gauge& g) {
-          store_.append(inst + "." + name, t, g.value());
-        },
-        [&](const std::string& inst, const std::string& name,
-            const metrics::Histogram& h) {
-          const bool windowed = h.window_capacity() > 0;
-          const auto pct = [&](double p) {
-            return windowed ? h.window_percentile(p) : h.percentile(p);
-          };
-          const std::string base = inst + "." + name;
-          store_.append(base + ".p50", t, pct(0.50));
-          store_.append(base + ".p95", t, pct(0.95));
-          store_.append(base + ".p99", t, pct(0.99));
-          store_.append(base + ".p999", t, pct(0.999));
-        });
+    if (!metrics_bound_ || metrics_generation_ != registry_->generation()) {
+      bind_registry();
+    }
+    static constexpr std::array<double, 4> kPercentiles = {0.50, 0.95, 0.99,
+                                                           0.999};
+    for (const MetricHandle& m : metrics_) {
+      if (m.counter != nullptr) {
+        m.series[0]->append(t, static_cast<double>(m.counter->value()));
+      } else if (m.gauge != nullptr) {
+        m.series[0]->append(t, m.gauge->value());
+      } else {
+        std::array<double, 4> v{};
+        if (m.histogram->window_capacity() > 0) {
+          m.histogram->window_percentiles(kPercentiles.data(), v.size(),
+                                          v.data(), window_scratch_);
+        } else {
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            v[i] = m.histogram->percentile(kPercentiles[i]);
+          }
+        }
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          m.series[i]->append(t, v[i]);
+        }
+      }
+    }
   }
 
   last_t_ = t;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -203,6 +208,99 @@ TEST(Histogram, WindowEvictsOldestAndIsExactOverRecentSamples) {
   // The cumulative view still spans all 108 observations.
   EXPECT_EQ(h.count(), 108u);
   EXPECT_DOUBLE_EQ(h.max(), 1000.0);
+}
+
+/// Nearest-rank oracle: sort the window, index ceil(p * n) (1-based),
+/// min for p <= 0, max for p >= 1, 0 when empty.
+double sorted_reference(std::vector<double> window, double p) {
+  if (window.empty()) return 0.0;
+  std::sort(window.begin(), window.end());
+  const std::size_t n = window.size();
+  if (p <= 0.0) return window.front();
+  if (p >= 1.0) return window.back();
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(p * static_cast<double>(n)));
+  return window[std::clamp<std::size_t>(rank, 1, n) - 1];
+}
+
+TEST(Histogram, WindowPercentilesMatchSortedReference) {
+  // Ascending (the sampler's order), then an arbitrary order that walks
+  // back and forth across already-selected ranks.
+  const std::vector<std::vector<double>> orders = {
+      {-0.5, 0.0, 1e-9, 0.25, 0.5, 0.5, 0.95, 0.99, 0.999, 1.0, 1.5},
+      {0.99, 0.5, 1.0, 0.0, 0.999, 0.25, 0.95, -1.0, 0.5}};
+  std::mt19937_64 rng(20010618);
+  std::vector<double> scratch;
+  for (const std::size_t cap : {1u, 2u, 7u, 64u, 1000u}) {
+    for (const std::size_t fill : {std::size_t{0}, std::size_t{1}, cap - 1,
+                                   cap, 2 * cap + 3}) {
+      Histogram h({1e6});
+      h.set_window(cap);
+      std::deque<double> recent;  // the last `cap` observations
+      // Half the samples from a few levels, so ranks land on runs of ties;
+      // half distinct, so a wrong neighbour shows.
+      std::uniform_int_distribution<int> level(0, 9);
+      std::uniform_real_distribution<double> spread(0.0, 25.0);
+      for (std::size_t i = 0; i < fill; ++i) {
+        const double x = i % 2 == 0 ? static_cast<double>(level(rng)) * 2.5
+                                    : spread(rng);
+        h.observe(x);
+        recent.push_back(x);
+        if (recent.size() > cap) recent.pop_front();
+      }
+      const std::vector<double> window(recent.begin(), recent.end());
+      ASSERT_EQ(h.window_count(), window.size());
+      // Plus every rank in turn: (i + 0.5) / n selects rank i + 1.
+      std::vector<double> every_rank;
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        every_rank.push_back((static_cast<double>(i) + 0.5) /
+                             static_cast<double>(window.size()));
+      }
+      std::vector<std::vector<double>> all = orders;
+      all.push_back(every_rank);
+      for (const std::vector<double>& ps : all) {
+        std::vector<double> out(ps.size(), -1.0);
+        h.window_percentiles(ps.data(), ps.size(), out.data(), scratch);
+        for (std::size_t i = 0; i < ps.size(); ++i) {
+          const double want = sorted_reference(window, ps[i]);
+          EXPECT_EQ(out[i], want)
+              << "cap " << cap << " fill " << fill << " p " << ps[i];
+          EXPECT_EQ(h.window_percentile(ps[i]), want)
+              << "cap " << cap << " fill " << fill << " p " << ps[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(Registry, GenerationMovesOnlyWhenTheMetricSetChanges) {
+  Registry r;
+  std::uint64_t g = r.generation();
+  r.counter("dut", "puts");
+  EXPECT_GT(r.generation(), g);
+  g = r.generation();
+  r.counter("dut", "puts").inc();  // resolve, not create
+  r.gauge("dut", "fill");
+  EXPECT_GT(r.generation(), g);
+  g = r.generation();
+  r.histogram("dut", "lat", {10.0}).observe(1.0);
+  EXPECT_GT(r.generation(), g);
+  g = r.generation();
+  r.histogram("dut", "lat", {10.0}).observe(2.0);
+  r.gauge("dut", "fill").set(1.0);
+  EXPECT_EQ(r.generation(), g);
+
+  Registry same;
+  same.counter("dut", "puts").inc();
+  r.merge(same);  // merges into existing metrics only
+  EXPECT_EQ(r.generation(), g);
+  Registry more;
+  more.histogram("other", "lat", {10.0});
+  r.merge(more);
+  EXPECT_GT(r.generation(), g);
+  g = r.generation();
+  r.clear();
+  EXPECT_GT(r.generation(), g);
 }
 
 TEST(Registry, DefaultWindowAppliesToHistogramsCreatedAfterward) {
