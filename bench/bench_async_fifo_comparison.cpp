@@ -101,12 +101,13 @@ int main(int argc, char** argv) {
     fifo::FifoConfig cfg;
     cfg.capacity = cap;
     cfg.width = 8;
-    const auto ring_lat = metrics::latency_async_async(cfg);
-    const auto ring_tput = metrics::throughput_async_async(cfg, 300);
+    const auto ring_lat = metrics::latency(metrics::Design::kAsyncAsync, cfg);
+    const auto ring_tput =
+        metrics::throughput(metrics::Design::kAsyncAsync, cfg, 300);
     const AsyncResult pipe = run_micropipeline(cap);
     t.add_row({std::to_string(cap), metrics::fmt(ring_lat.min_ns, 2),
                metrics::fmt(pipe.latency_ns, 2),
-               metrics::fmt(ring_tput.put_mops, 0),
+               metrics::fmt(ring_tput.put, 0),
                metrics::fmt(pipe.throughput_mops, 0)});
   }
   std::fputs(csv ? t.to_csv().c_str() : t.to_string().c_str(), stdout);

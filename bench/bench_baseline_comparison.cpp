@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
   metrics::Table t({"places", "CN latency min (ns)", "baseline latency (ns)",
                     "CN tput (word/cycle)", "baseline tput (word/cycle)"});
   for (unsigned cap : {4u, 8u, 16u}) {
-    const auto cn_lat = metrics::latency_mixed_clock(cfg_of(cap), 8);
+    const auto cn_lat =
+        metrics::latency(metrics::Design::kMixedClock, cfg_of(cap), 8);
     const BaselineResult base = run_baseline(cap);
     const double cn_tput = run_token_ring_throughput(cap);
     t.add_row({std::to_string(cap), metrics::fmt(cn_lat.min_ns, 2),

@@ -12,10 +12,9 @@
 #include <cstring>
 #include <string>
 
-#include "bfm/bfm.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/table.hpp"
-#include "sync/clock.hpp"
+#include "metrics/testbench.hpp"
 
 namespace {
 
@@ -37,20 +36,11 @@ Outcome run_traffic(const fifo::FifoConfig& cfg, double put_rate,
   const Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
   const Time gp = static_cast<Time>(
       2 * get_ratio * static_cast<double>(fifo::SyncGetSide::min_period(cfg)));
-  sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-  sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::PutMonitor pm(sim, cp.out(), dut.en_put(), dut.req_put(), dut.data_put(),
-                     sb);
-  bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
-  bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(), dut.data_put(),
-                         dut.full(), cfg.dm, {put_rate, 1}, 0xFF);
-  bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
-                         {get_rate, 1});
+  metrics::Testbench<fifo::MixedClockFifo> tb(
+      sim, cfg, {pp, 4 * pp, put_rate}, {gp, 4 * pp + gp / 3, get_rate});
   sim.run_until(4 * pp + static_cast<Time>(cycles) * pp);
-  return Outcome{gm.dequeued(), dut.underflow_count(), dut.overflow_count(),
-                 sb.errors(), false};
+  return Outcome{tb.delivered(), tb.dut.underflow_count(),
+                 tb.dut.overflow_count(), tb.sb.errors(), false};
 }
 
 /// One resident item, then the receiver starts requesting: a correct
@@ -59,27 +49,25 @@ Outcome run_last_item(const fifo::FifoConfig& cfg) {
   sim::Simulation sim(1);
   const Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
   const Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
-  sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-  sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
+  metrics::Testbench<fifo::MixedClockFifo> tb(
+      sim, cfg, {pp, 4 * pp, 1.0, metrics::kManual},
+      {gp, 4 * pp + gp / 3, 1.0, metrics::kManual});
+  fifo::MixedClockFifo& dut = tb.dut;
 
   const Time react = cfg.dm.flop.clk_to_q + 1;
   const Time edge = 4 * pp + 8 * pp;
   sim.sched().at(edge + react, [&] {
     dut.data_put().set(0x3C);
     dut.req_put().set(true);
-    sb.push(0x3C);
   });
   sim.sched().at(edge + pp + react, [&] { dut.req_put().set(false); });
   sim.sched().at(edge + 10 * gp, [&] { dut.req_get().set(true); });
   sim.run_until(edge + 80 * gp);
 
   Outcome o;
-  o.delivered = gm.dequeued();
-  o.deadlocked = gm.dequeued() == 0;
-  o.mismatches = sb.errors();
+  o.delivered = tb.delivered();
+  o.deadlocked = tb.delivered() == 0;
+  o.mismatches = tb.sb.errors();
   return o;
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "fifo/config.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
@@ -27,8 +28,9 @@ int main(int argc, char** argv) {
   unsigned jobs = 0;  // 0: one worker per hardware thread
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      jobs = benchargs::count_flag(
+          argc, argv, i, 0, "usage: bench_matrix_extension [--csv] [--jobs N]");
     }
   }
 
@@ -36,71 +38,44 @@ int main(int argc, char** argv) {
               "rates in MegaOps/s; latency in ns through an empty FIFO)\n\n");
 
   const unsigned caps[] = {4, 8, 16};
-  const char* const designs[] = {"sync-sync", "async-sync", "sync-async",
-                                 "async-async"};
+  struct Column {
+    const char* name;
+    metrics::Design design;
+    unsigned cycles;  ///< throughput window (async-async: handshake slots)
+  };
+  static constexpr Column kDesigns[] = {
+      {"sync-sync", metrics::Design::kMixedClock, 800},
+      {"async-sync", metrics::Design::kAsyncSync, 800},
+      {"sync-async", metrics::Design::kSyncAsync, 800},
+      {"async-async", metrics::Design::kAsyncAsync, 400},
+  };
   // Cell index = cap_index * 4 + design_index, matching the historical row
   // order (capacity-major, then design).
   std::vector<std::vector<std::string>> rows(std::size(caps) *
-                                             std::size(designs));
+                                             std::size(kDesigns));
   sim::CampaignOptions opt;
   opt.workers = jobs;
   opt.seed = 1;
   sim::Campaign campaign(rows.size(), 1, opt);
-  campaign.run([&rows, &caps, &designs](sim::CampaignContext& ctx) {
+  campaign.run([&rows, &caps](sim::CampaignContext& ctx) {
     const std::size_t i = ctx.spec().index;
-    const unsigned cap = caps[i / std::size(designs)];
-    const std::size_t design = i % std::size(designs);
+    const unsigned cap = caps[i / std::size(kDesigns)];
+    const Column& col = kDesigns[i % std::size(kDesigns)];
     fifo::FifoConfig cfg;
     cfg.capacity = cap;
     cfg.width = 8;
 
-    std::string put, get, lat_min, lat_max, ok;
-    switch (design) {
-      case 0: {
-        const auto tp = metrics::throughput_mixed_clock(cfg, 800);
-        const auto lat = metrics::latency_mixed_clock(cfg, 12);
-        put = metrics::fmt(tp.put, 0);
-        get = metrics::fmt(tp.get, 0);
-        lat_min = metrics::fmt(lat.min_ns, 2);
-        lat_max = metrics::fmt(lat.max_ns, 2);
-        ok = tp.validated ? "yes" : "NO";
-        break;
-      }
-      case 1: {
-        const auto tp = metrics::throughput_async_sync(cfg, 800);
-        const auto lat = metrics::latency_async_sync(cfg, 12);
-        put = metrics::fmt(tp.put, 0);
-        get = metrics::fmt(tp.get, 0);
-        lat_min = metrics::fmt(lat.min_ns, 2);
-        lat_max = metrics::fmt(lat.max_ns, 2);
-        ok = tp.validated ? "yes" : "NO";
-        break;
-      }
-      case 2: {
-        const auto tp = metrics::throughput_sync_async(cfg, 800);
-        const auto lat = metrics::latency_sync_async(cfg);
-        put = metrics::fmt(tp.put, 0);
-        get = metrics::fmt(tp.get, 0);
-        lat_min = metrics::fmt(lat.min_ns, 2);
-        lat_max = metrics::fmt(lat.max_ns, 2);
-        ok = tp.validated ? "yes" : "NO";
-        break;
-      }
-      default: {
-        const auto tp = metrics::throughput_async_async(cfg, 400);
-        const auto lat = metrics::latency_async_async(cfg);
-        put = metrics::fmt(tp.put_mops, 0);
-        get = metrics::fmt(tp.get_mops, 0);
-        lat_min = metrics::fmt(lat.min_ns, 2);
-        lat_max = metrics::fmt(lat.max_ns, 2);
-        ok = tp.validated ? "yes" : "NO";
-        break;
-      }
-    }
-    rows[i] = {designs[design], std::to_string(cap), put, get,
-               lat_min,         lat_max,             ok};
+    const auto tp = metrics::throughput(col.design, cfg, col.cycles);
+    const auto lat = metrics::latency(col.design, cfg, 12);
+    const bool none = lat.delivered == 0;
+    rows[i] = {col.name,
+               std::to_string(cap),
+               metrics::fmt(tp.put, 0),
+               metrics::fmt(tp.get, 0),
+               none ? "not delivered" : metrics::fmt(lat.min_ns, 2),
+               none ? "not delivered" : metrics::fmt(lat.max_ns, 2),
+               tp.validated ? "yes" : "NO"};
   });
-
   metrics::Table t({"design", "places", "put", "get", "latency min",
                     "latency max", "ok"});
   for (const std::vector<std::string>& row : rows) t.add_row(row);

@@ -19,17 +19,20 @@
 #include <cstring>
 #include <string>
 
-#include "bfm/bfm.hpp"
+#include "bench_args.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/table.hpp"
+#include "metrics/testbench.hpp"
 #include "sim/campaign.hpp"
-#include "sync/clock.hpp"
 #include "sync/mtbf.hpp"
 
 namespace {
 
 using namespace mts;
 using sim::Time;
+
+constexpr const char* kUsage =
+    "usage: bench_sync_depth [--csv] [--cycles N] [--jobs N]";
 
 struct SoakResult {
   std::uint64_t delivered = 0;
@@ -50,20 +53,13 @@ SoakResult soak(sim::Simulation& sim, unsigned depth, unsigned cycles,
   const Time pp = fifo::SyncPutSide::min_period(cfg) * 4 / 3;
   const Time gp = static_cast<Time>(
       static_cast<double>(fifo::SyncGetSide::min_period(cfg)) * 1.377);
-  sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-  sync::Clock cg(sim, "cg", {gp, 4 * pp + 577, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::PutMonitor pm(sim, cp.out(), dut.en_put(), dut.req_put(), dut.data_put(),
-                     sb);
-  bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
-  bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(), dut.data_put(),
-                         dut.full(), cfg.dm, {1.0, 1}, 0xFF);
-  bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm, {1.0, 1});
+  metrics::Testbench<fifo::MixedClockFifo> tb(sim, cfg, {pp, 4 * pp},
+                                              {gp, 4 * pp + 577});
 
   sim.run_until(4 * pp + static_cast<Time>(cycles) * pp);
-  return SoakResult{gm.dequeued(), sb.errors() + dut.overflow_count() +
-                                       dut.underflow_count()};
+  return SoakResult{tb.delivered(), tb.sb.errors() +
+                                       tb.dut.overflow_count() +
+                                       tb.dut.underflow_count()};
 }
 
 }  // namespace
@@ -74,11 +70,11 @@ int main(int argc, char** argv) {
   unsigned jobs = 0;  // 0: one worker per hardware thread
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc) {
-      cycles = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--cycles") == 0) {
+      cycles = benchargs::count_flag(argc, argv, i, 1, kUsage);
     }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      jobs = benchargs::count_flag(argc, argv, i, 0, kUsage);
     }
   }
 

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "bfm/bfm.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/experiments.hpp"
@@ -37,18 +38,23 @@ namespace {
 
 using mts::fifo::ControllerKind;
 using mts::fifo::FifoConfig;
+using mts::metrics::Design;
+
+constexpr const char* kUsage =
+    "usage: bench_table1_latency [--csv] [--phases N] [--hist-json FILE] "
+    "[--jobs N]";
 
 struct DesignRow {
   const char* name;
-  bool async_put;
+  Design design;
   ControllerKind controller;
 };
 
 constexpr DesignRow kDesigns[] = {
-    {"Mixed-Clock", false, ControllerKind::kFifo},
-    {"Async-Sync", true, ControllerKind::kFifo},
-    {"Mixed-Clock RS", false, ControllerKind::kRelayStation},
-    {"Async-Sync RS", true, ControllerKind::kRelayStation},
+    {"Mixed-Clock", Design::kMixedClock, ControllerKind::kFifo},
+    {"Async-Sync", Design::kAsyncSync, ControllerKind::kFifo},
+    {"Mixed-Clock RS", Design::kMixedClock, ControllerKind::kRelayStation},
+    {"Async-Sync RS", Design::kAsyncSync, ControllerKind::kRelayStation},
 };
 
 // Paper Table 1 latency (ns), 8-bit items: {4,8,16}-place Min/Max.
@@ -88,7 +94,7 @@ std::string saturated_histograms(mts::sim::Simulation& s,
   const sim::Time gp = fifo::SyncGetSide::min_period(cfg) * 5 / 4;
   sync::Clock cg(s, "cg", {gp, 4 * gp, 0.5, 0});
   const unsigned cycles = 2000;
-  if (design.async_put) {
+  if (design.design == Design::kAsyncSync) {
     fifo::AsyncSyncFifo dut(s, "dut", cfg, cg.out());
     bfm::AsyncPutDriver put(s, "put", dut.put_req(), dut.put_ack(),
                             dut.put_data(), cfg.dm, 0, 0xFF, nullptr);
@@ -183,14 +189,14 @@ int main(int argc, char** argv) {
   std::string hist_json;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--phases") == 0 && i + 1 < argc) {
-      phases = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--phases") == 0) {
+      phases = mts::benchargs::count_flag(argc, argv, i, 1, kUsage);
     }
     if (std::strcmp(argv[i], "--hist-json") == 0 && i + 1 < argc) {
       hist_json = argv[++i];
     }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      jobs = mts::benchargs::count_flag(argc, argv, i, 0, kUsage);
     }
   }
 
@@ -208,11 +214,11 @@ int main(int argc, char** argv) {
       cfg.width = 8;
       cfg.controller = design.controller;
       const mts::metrics::LatencyRow row =
-          design.async_put ? mts::metrics::latency_async_sync(cfg, phases)
-                           : mts::metrics::latency_mixed_clock(cfg, phases);
+          mts::metrics::latency(design.design, cfg, phases);
+      const bool none = row.delivered == 0;
       table.add_row({design.name, std::to_string(caps[c]),
-                     mts::metrics::fmt(row.min_ns, 2),
-                     mts::metrics::fmt(row.max_ns, 2),
+                     none ? "not delivered" : mts::metrics::fmt(row.min_ns, 2),
+                     none ? "not delivered" : mts::metrics::fmt(row.max_ns, 2),
                      mts::metrics::fmt(kPaperMin[d][c], 2),
                      mts::metrics::fmt(kPaperMax[d][c], 2)});
     }

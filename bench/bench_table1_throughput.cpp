@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench_args.hpp"
 #include "fifo/config.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
@@ -20,18 +21,22 @@ namespace {
 
 using mts::fifo::ControllerKind;
 using mts::fifo::FifoConfig;
+using mts::metrics::Design;
+
+constexpr const char* kUsage =
+    "usage: bench_table1_throughput [--csv] [--cycles N]";
 
 struct DesignRow {
   const char* name;
-  bool async_put;
+  Design design;
   ControllerKind controller;
 };
 
 constexpr DesignRow kDesigns[] = {
-    {"Mixed-Clock", false, ControllerKind::kFifo},
-    {"Async-Sync", true, ControllerKind::kFifo},
-    {"Mixed-Clock RS", false, ControllerKind::kRelayStation},
-    {"Async-Sync RS", true, ControllerKind::kRelayStation},
+    {"Mixed-Clock", Design::kMixedClock, ControllerKind::kFifo},
+    {"Async-Sync", Design::kAsyncSync, ControllerKind::kFifo},
+    {"Mixed-Clock RS", Design::kMixedClock, ControllerKind::kRelayStation},
+    {"Async-Sync RS", Design::kAsyncSync, ControllerKind::kRelayStation},
 };
 
 // Paper values (Table 1) for side-by-side comparison.
@@ -53,8 +58,8 @@ int main(int argc, char** argv) {
   unsigned cycles = 1000;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
-    if (std::strcmp(argv[i], "--cycles") == 0 && i + 1 < argc) {
-      cycles = static_cast<unsigned>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--cycles") == 0) {
+      cycles = mts::benchargs::count_flag(argc, argv, i, 1, kUsage);
     }
   }
 
@@ -79,8 +84,7 @@ int main(int argc, char** argv) {
         cfg.width = width;
         cfg.controller = design.controller;
         const mts::metrics::ThroughputRow row =
-            design.async_put ? mts::metrics::throughput_async_sync(cfg, cycles)
-                             : mts::metrics::throughput_mixed_clock(cfg, cycles);
+            mts::metrics::throughput(design.design, cfg, cycles);
         table.add_row({design.name, std::to_string(width), std::to_string(cap),
                        mts::metrics::fmt(row.put, 0),
                        mts::metrics::fmt(row.get, 0),

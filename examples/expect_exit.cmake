@@ -1,7 +1,8 @@
-# Runs EXE with the single argument ARG and fails unless it exits with
-# status EXPECT. Usage:
-#   cmake -DEXE=<program> -DARG=<argument> -DEXPECT=<status> -P expect_exit.cmake
-execute_process(COMMAND ${EXE} ${ARG}
+# Runs EXE with the space-separated arguments ARG and fails unless it exits
+# with status EXPECT. Usage:
+#   cmake -DEXE=<program> "-DARG=<arguments>" -DEXPECT=<status> -P expect_exit.cmake
+separate_arguments(args UNIX_COMMAND "${ARG}")
+execute_process(COMMAND ${EXE} ${args}
   RESULT_VARIABLE status
   OUTPUT_QUIET
   ERROR_VARIABLE err)

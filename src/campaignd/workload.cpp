@@ -6,10 +6,9 @@
 #include <mutex>
 #include <utility>
 
-#include "bfm/bfm.hpp"
 #include "fifo/fifo.hpp"
+#include "metrics/testbench.hpp"
 #include "sim/error.hpp"
-#include "sync/clock.hpp"
 
 namespace mts::campaignd {
 
@@ -56,28 +55,19 @@ class FifoSoak : public Workload {
 
     const sim::Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
     const sim::Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
-    sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-    sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3 + seed % 7, 0.5, 0});
-    fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
+    metrics::Testbench<fifo::MixedClockFifo> tb(
+        sim, cfg, {pp, 4 * pp, put_rate},
+        {gp, 4 * pp + gp / 3 + seed % 7, get_rate});
     if (cov_ != nullptr) {
-      metrics::cover_mixed_clock_fifo(*cov_, "dut", dut);
+      metrics::cover_mixed_clock_fifo(*cov_, "dut", tb.dut);
     }
-    bfm::Scoreboard sb(sim, "sb");
-    bfm::PutMonitor pm(sim, cp.out(), dut.en_put(), dut.req_put(),
-                       dut.data_put(), sb);
-    bfm::GetMonitor gm(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
-    bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(),
-                           dut.data_put(), dut.full(), cfg.dm,
-                           {put_rate, 1}, 0xFF);
-    bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
-                           {get_rate, 1});
 
     sim.run_until(4 * pp + static_cast<sim::Time>(cycles_) * pp);
-    ctx.set("errors", static_cast<double>(sb.errors()));
-    ctx.set("dequeued", static_cast<double>(gm.dequeued()));
-    if (sb.errors() > 0) {
+    ctx.set("errors", static_cast<double>(tb.sb.errors()));
+    ctx.set("dequeued", static_cast<double>(tb.delivered()));
+    if (tb.sb.errors() > 0) {
       throw mts::SimulationError("scoreboard recorded " +
-                                 std::to_string(sb.errors()) +
+                                 std::to_string(tb.sb.errors()) +
                                  " data errors");
     }
   }

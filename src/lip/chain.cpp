@@ -1,7 +1,6 @@
 #include "lip/chain.hpp"
 
 #include "gates/combinational.hpp"
-#include "lip/relay_station_structural.hpp"
 
 namespace mts::lip {
 
@@ -10,7 +9,7 @@ SyncRelayChain::SyncRelayChain(sim::Simulation& sim, const std::string& name,
                                const gates::DelayModel& dm, sim::Word& in_data,
                                sim::Wire& in_valid, sim::Wire& stop_out,
                                sim::Word& out_data, sim::Wire& out_valid,
-                               sim::Wire& stop_in, RsImpl impl)
+                               sim::Wire& stop_in)
     : nl_(sim, name), length_(length) {
   if (length == 0) {
     // Degenerate chain: a short wire. Forward data/valid, return stop.
@@ -32,32 +31,23 @@ SyncRelayChain::SyncRelayChain(sim::Simulation& sim, const std::string& name,
     sim::Word& next_d = last ? out_data : nl_.word(li + ".data");
     sim::Wire& next_v = last ? out_valid : nl_.wire(li + ".valid");
     sim::Wire& next_s = last ? stop_in : nl_.wire(li + ".stop");
-    if (impl == RsImpl::kBehavioural) {
-      stations_.push_back(&nl_.add<RelayStation>(
-          sim, nl_.qualified("rs" + std::to_string(i)), clk, *d, *v, *s,
-          next_d, next_v, next_s, dm));
-    } else {
-      nl_.add<StructuralRelayStation>(sim,
-                                      nl_.qualified("rs" + std::to_string(i)),
-                                      clk, *d, *v, *s, next_d, next_v, next_s,
-                                      dm);
-    }
+    stations_.push_back(&nl_.add<RelayStation>(
+        sim, nl_.qualified("rs" + std::to_string(i)), clk, *d, *v, *s, next_d,
+        next_v, next_s, dm));
     d = &next_d;
     v = &next_v;
     s = &next_s;
   }
 
-  // Behavioural stations registered trace streams in their constructors;
-  // chain them so one transaction id rides the packet hop to hop.
-  if (impl == RsImpl::kBehavioural) {
-    first_station_ = nl_.qualified("rs0");
-    last_station_ = nl_.qualified("rs" + std::to_string(length - 1));
-    sim::Observability* o = sim.observability();
-    if (o != nullptr && o->trace != nullptr) {
-      for (unsigned i = 1; i < length; ++i) {
-        o->trace->link(nl_.qualified("rs" + std::to_string(i - 1)),
-                       nl_.qualified("rs" + std::to_string(i)));
-      }
+  // The stations registered trace streams in their constructors; chain
+  // them so one transaction id rides the packet hop to hop.
+  first_station_ = nl_.qualified("rs0");
+  last_station_ = nl_.qualified("rs" + std::to_string(length - 1));
+  sim::Observability* o = sim.observability();
+  if (o != nullptr && o->trace != nullptr) {
+    for (unsigned i = 1; i < length; ++i) {
+      o->trace->link(nl_.qualified("rs" + std::to_string(i - 1)),
+                     nl_.qualified("rs" + std::to_string(i)));
     }
   }
 }

@@ -21,10 +21,6 @@
 
 namespace mts::lip {
 
-/// Relay-station implementation used inside a chain: the behavioural model
-/// (fast) or the gate-level netlist (full timing fidelity, checkable).
-enum class RsImpl { kBehavioural, kStructural };
-
 /// A chain of `length` synchronous relay stations on one clock. Boundary
 /// wires are caller-owned; with length 0 the chain degenerates to buffered
 /// wires (no pipelining).
@@ -33,20 +29,17 @@ class SyncRelayChain {
   SyncRelayChain(sim::Simulation& sim, const std::string& name, sim::Wire& clk,
                  unsigned length, const gates::DelayModel& dm,
                  sim::Word& in_data, sim::Wire& in_valid, sim::Wire& stop_out,
-                 sim::Word& out_data, sim::Wire& out_valid, sim::Wire& stop_in,
-                 RsImpl impl = RsImpl::kBehavioural);
+                 sim::Word& out_data, sim::Wire& out_valid, sim::Wire& stop_in);
 
   SyncRelayChain(const SyncRelayChain&) = delete;
   SyncRelayChain& operator=(const SyncRelayChain&) = delete;
 
   unsigned length() const noexcept { return length_; }
-  /// Valid packets currently in flight inside the chain, for tests
-  /// (behavioural stations only; 0 for structural chains).
+  /// Valid packets currently in flight inside the chain, for tests.
   unsigned buffered_valid() const;
 
   /// Instance names of the boundary stations, for trace-stream linking by
-  /// parent links ("" when the chain is empty or structural -- structural
-  /// stations carry no observers).
+  /// parent links ("" when the chain is empty).
   const std::string& first_station_instance() const { return first_station_; }
   const std::string& last_station_instance() const { return last_station_; }
 

@@ -5,5 +5,4 @@
 #include "lip/chain.hpp"          // IWYU pragma: export
 #include "lip/micropipeline.hpp"  // IWYU pragma: export
 #include "lip/relay_station.hpp"  // IWYU pragma: export
-#include "lip/relay_station_structural.hpp"  // IWYU pragma: export
 #include "lip/stations.hpp"       // IWYU pragma: export

@@ -1,381 +1,214 @@
 #include "metrics/experiments.hpp"
 
 #include <algorithm>
-#include <memory>
 
-#include "bfm/bfm.hpp"
-#include "fifo/fifo.hpp"
+#include "metrics/testbench.hpp"
 #include "sim/simulation.hpp"
-#include "sync/clock.hpp"
 
 namespace mts::metrics {
 
 namespace {
 
-std::uint64_t width_mask(unsigned width) {
-  return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+/// Measurement slot of a design with no clock: a handshake is a few ns.
+constexpr sim::Time kHandshakeSlot = 5'000;
+
+/// Runs `body.template operator()<Fifo>()` with the design's FIFO class.
+template <class Body>
+auto with_fifo(Design design, Body&& body) {
+  switch (design) {
+    case Design::kMixedClock:
+      return body.template operator()<fifo::MixedClockFifo>();
+    case Design::kAsyncSync:
+      return body.template operator()<fifo::AsyncSyncFifo>();
+    case Design::kSyncAsync:
+      return body.template operator()<fifo::SyncAsyncFifo>();
+    case Design::kAsyncAsync:
+      break;
+  }
+  return body.template operator()<fifo::AsyncAsyncFifo>();
 }
 
-ValidationResult collect(const sim::Simulation& sim, std::uint64_t domain_viol,
-                         std::uint64_t overflows, std::uint64_t underflows,
-                         const bfm::Scoreboard& sb) {
+template <class Fifo>
+sim::Time put_min_period(const fifo::FifoConfig& cfg) {
+  return FifoSides<Fifo>::put_sync ? fifo::SyncPutSide::min_period(cfg) : 0;
+}
+
+template <class Fifo>
+sim::Time get_min_period(const fifo::FifoConfig& cfg) {
+  return FifoSides<Fifo>::get_sync ? fifo::SyncGetSide::min_period(cfg) : 0;
+}
+
+template <class Fifo>
+void set_timing_checks(Fifo& dut, bool on) {
+  if constexpr (FifoSides<Fifo>::put_sync) dut.put_domain().set_enabled(on);
+  if constexpr (FifoSides<Fifo>::get_sync) dut.get_domain().set_enabled(on);
+}
+
+template <class Fifo>
+std::uint64_t timing_violations(Fifo& dut) {
+  std::uint64_t n = 0;
+  if constexpr (FifoSides<Fifo>::put_sync) n += dut.put_domain().violations();
+  if constexpr (FifoSides<Fifo>::get_sync) n += dut.get_domain().violations();
+  return n;
+}
+
+template <class Fifo>
+ValidationResult validate_run(const fifo::FifoConfig& cfg, sim::Time put,
+                              sim::Time get, unsigned cycles,
+                              std::uint64_t seed) {
+  using Sides = FifoSides<Fifo>;
+  const sim::Time put_p = Sides::put_sync ? put : 0;
+  const sim::Time get_p = Sides::get_sync ? get : 0;
+  const sim::Time settle = 4 * std::max(put_p, get_p);
+  // With both clocks present, CLK_get lags CLK_put by a third of a period.
+  const sim::Time get_lag = Sides::put_sync ? get_p / 3 : 0;
+
+  sim::Simulation sim(seed);
+  Testbench<Fifo> tb(sim, cfg, {put_p, settle, 1.0, Sides::put_sync ? 0 : put},
+                     {get_p, settle + get_lag, 1.0, Sides::get_sync ? 0 : get});
+
+  // Settle phase: initial gate evaluations propagate; no checks yet.
+  if (settle > 0) {
+    set_timing_checks(tb.dut, false);
+    sim.run_until(settle - 1);
+    set_timing_checks(tb.dut, true);
+  }
+  const sim::Time step = Sides::put_sync   ? put_p
+                         : Sides::get_sync ? get_p
+                                           : kHandshakeSlot;
+  sim.run_until(settle + static_cast<sim::Time>(cycles) * step);
+
   ValidationResult r;
-  r.timing_violations = domain_viol;
-  r.overflows = overflows;
-  r.underflows = underflows;
-  r.scoreboard_errors = sb.errors();
-  r.enqueued = sb.pushed();
-  r.dequeued = sb.popped();
-  (void)sim;
+  r.timing_violations = timing_violations(tb.dut);
+  r.overflows = tb.dut.overflow_count();
+  r.underflows = tb.dut.underflow_count();
+  r.scoreboard_errors = tb.sb.errors();
+  r.enqueued = tb.sb.pushed();
+  r.dequeued = tb.sb.popped();
   return r;
+}
+
+template <class Fifo>
+ThroughputRow throughput_run(const fifo::FifoConfig& cfg, unsigned cycles) {
+  using Sides = FifoSides<Fifo>;
+  const sim::Time put_p = put_min_period<Fifo>(cfg);
+  const sim::Time get_p = get_min_period<Fifo>(cfg);
+  ThroughputRow row;
+  row.put_async = !Sides::put_sync;
+  row.get_async = !Sides::get_sync;
+  if (Sides::put_sync) row.put = sim::period_to_mhz(put_p);
+  if (Sides::get_sync) row.get = sim::period_to_mhz(get_p);
+
+  if constexpr (Sides::put_sync && Sides::get_sync) {
+    const ValidationResult v =
+        validate_run<Fifo>(cfg, put_p, get_p, cycles, 1);
+    row.validated =
+        v.clean() && v.enqueued > cycles / 4 && v.dequeued > cycles / 4;
+  } else {
+    // Saturate both sides, warm up with the timing checks off, then count
+    // the asynchronous handshakes over a window of the clock (if any).
+    const sim::Time clk = std::max(put_p, get_p);
+    const sim::Time settle = 4 * clk;
+    sim::Simulation sim(1);
+    Testbench<Fifo> tb(sim, cfg, {put_p, settle}, {get_p, settle});
+    set_timing_checks(tb.dut, false);
+    const sim::Time warmup = clk > 0 ? settle + 60 * clk : 100'000;
+    sim.run_until(warmup);
+    set_timing_checks(tb.dut, true);
+    const std::uint64_t puts0 = tb.async_put ? tb.async_put->completed() : 0;
+    const std::uint64_t gets0 = tb.async_get ? tb.async_get->completed() : 0;
+    const sim::Time window =
+        static_cast<sim::Time>(cycles) * (clk > 0 ? clk : kHandshakeSlot);
+    sim.run_until(warmup + window);
+
+    bool busy = true;
+    const auto mops = [&](std::uint64_t ops) {
+      busy = busy && ops > cycles / 8;
+      return static_cast<double>(ops) * 1e6 / static_cast<double>(window);
+    };
+    if (tb.async_put) row.put = mops(tb.async_put->completed() - puts0);
+    if (tb.async_get) row.get = mops(tb.async_get->completed() - gets0);
+    row.validated = timing_violations(tb.dut) == 0 &&
+                    tb.dut.overflow_count() == 0 &&
+                    tb.dut.underflow_count() == 0 && tb.sb.errors() == 0 &&
+                    busy;
+  }
+  return row;
+}
+
+template <class Fifo>
+LatencyRow latency_run(const fifo::FifoConfig& cfg, unsigned phases) {
+  using Sides = FifoSides<Fifo>;
+  const sim::Time put_p = put_min_period<Fifo>(cfg);
+  const sim::Time get_p = get_min_period<Fifo>(cfg);
+  const sim::Time base = 4 * std::max(put_p, get_p);
+  const unsigned runs = Sides::get_sync ? phases : 1;
+
+  LatencyRow row;
+  for (unsigned i = 0; i < runs; ++i) {
+    sim::Simulation sim(1);
+    // The receiver requests from the start; the put side waits for the
+    // single put below.
+    Testbench<Fifo> tb(
+        sim, cfg, {put_p, base, 1.0, kManual},
+        {get_p, base + get_p * i / std::max(1u, phases), 1.0, 0});
+
+    // The put lands well after the detectors and synchronizers have
+    // settled into the empty state: a data item aligned to a CLK_put edge,
+    // or one asynchronous handshake.
+    sim::Time t_start = 0;
+    sim::Time end = 0;
+    if constexpr (Sides::put_sync) {
+      const sim::Time react = cfg.dm.flop.clk_to_q + 1;
+      const sim::Time edge = base + 12 * put_p;
+      t_start = edge + react;
+      sim.sched().at(t_start, [&] {
+        tb.dut.data_put().set(0x2A & width_mask(cfg.width));
+        tb.dut.req_put().set(true);
+      });
+      sim.sched().at(edge + put_p + react,
+                     [&] { tb.dut.req_put().set(false); });
+      end = edge + 60 * std::max(put_p, get_p);
+    } else {
+      t_start = Sides::get_sync ? base + 12 * get_p : 50'000;
+      sim.sched().at(t_start, [&] { tb.async_put->issue_one(); });
+      end = t_start + (Sides::get_sync ? 60 * get_p : 500'000);
+    }
+
+    sim.run_until(end);
+    if (tb.delivered() >= 1) {
+      const double lat =
+          static_cast<double>(tb.last_delivery() - t_start) / 1e3;
+      row.min_ns = row.delivered == 0 ? lat : std::min(row.min_ns, lat);
+      row.max_ns = std::max(row.max_ns, lat);
+      ++row.delivered;
+    }
+  }
+  return row;
 }
 
 }  // namespace
 
-ValidationResult validate_mixed_clock(const fifo::FifoConfig& cfg,
-                                      sim::Time put_period, sim::Time get_period,
-                                      unsigned cycles, std::uint64_t seed) {
-  sim::Simulation sim(seed);
-  const sim::Time settle = 4 * std::max(put_period, get_period);
-  sync::Clock clk_put(sim, "clk_put", {put_period, settle, 0.5, 0});
-  sync::Clock clk_get(sim, "clk_get",
-                      {get_period, settle + get_period / 3, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, clk_put.out(), clk_get.out());
-  bfm::Scoreboard sb(sim, "sb");
-
-  const std::uint64_t mask = width_mask(cfg.width);
-  std::unique_ptr<bfm::SyncPutDriver> put_drv;
-  std::unique_ptr<bfm::SyncGetDriver> get_drv;
-  std::unique_ptr<bfm::RsSource> src;
-  std::unique_ptr<bfm::RsSink> sink;
-  std::unique_ptr<bfm::GetMonitor> get_mon;
-  std::unique_ptr<bfm::PutMonitor> put_mon;
-
-  if (cfg.controller == fifo::ControllerKind::kFifo) {
-    put_mon = std::make_unique<bfm::PutMonitor>(sim, clk_put.out(), dut.en_put(),
-                                                dut.req_put(), dut.data_put(),
-                                                sb);
-    put_drv = std::make_unique<bfm::SyncPutDriver>(
-        sim, "put", clk_put.out(), dut.req_put(), dut.data_put(), dut.full(),
-        cfg.dm, bfm::RateConfig{1.0, 1}, mask);
-    get_drv = std::make_unique<bfm::SyncGetDriver>(sim, "get", clk_get.out(),
-                                                   dut.req_get(), cfg.dm,
-                                                   bfm::RateConfig{1.0, 1});
-    get_mon = std::make_unique<bfm::GetMonitor>(sim, clk_get.out(),
-                                                dut.valid_get(), dut.data_get(),
-                                                sb);
-  } else {
-    src = std::make_unique<bfm::RsSource>(sim, "src", clk_put.out(),
-                                          dut.data_put(), dut.req_put(),
-                                          dut.stop_out(), cfg.dm, 1.0, mask, sb);
-    sink = std::make_unique<bfm::RsSink>(sim, "sink", clk_get.out(),
-                                         dut.data_get(), dut.valid_get(),
-                                         dut.stop_in(), cfg.dm, 0.0, sb);
-  }
-
-  // Settle phase: initial gate evaluations propagate; no checks yet.
-  dut.put_domain().set_enabled(false);
-  dut.get_domain().set_enabled(false);
-  sim.run_until(settle - 1);
-  dut.put_domain().set_enabled(true);
-  dut.get_domain().set_enabled(true);
-
-  sim.run_until(settle + static_cast<sim::Time>(cycles) * put_period);
-
-  return collect(sim,
-                 dut.put_domain().violations() + dut.get_domain().violations(),
-                 dut.overflow_count(), dut.underflow_count(), sb);
-}
-
-ValidationResult validate_async_sync(const fifo::FifoConfig& cfg,
-                                     sim::Time get_period, sim::Time put_gap,
-                                     unsigned cycles, std::uint64_t seed) {
-  sim::Simulation sim(seed);
-  const sim::Time settle = 4 * get_period;
-  sync::Clock clk_get(sim, "clk_get", {get_period, settle, 0.5, 0});
-  fifo::AsyncSyncFifo dut(sim, "dut", cfg, clk_get.out());
-  bfm::Scoreboard sb(sim, "sb");
-
-  bfm::AsyncPutDriver put_drv(sim, "put", dut.put_req(), dut.put_ack(),
-                              dut.put_data(), cfg.dm, put_gap,
-                              width_mask(cfg.width), &sb);
-  std::unique_ptr<bfm::SyncGetDriver> get_drv;
-  if (cfg.controller == fifo::ControllerKind::kFifo) {
-    get_drv = std::make_unique<bfm::SyncGetDriver>(sim, "get", clk_get.out(),
-                                                   dut.req_get(), cfg.dm,
-                                                   bfm::RateConfig{1.0, 1});
-  }
-  bfm::GetMonitor get_mon(sim, clk_get.out(), dut.valid_get(), dut.data_get(),
-                          sb);
-
-  dut.get_domain().set_enabled(false);
-  sim.run_until(settle - 1);
-  dut.get_domain().set_enabled(true);
-
-  sim.run_until(settle + static_cast<sim::Time>(cycles) * get_period);
-  return collect(sim, dut.get_domain().violations(), dut.overflow_count(),
-                 dut.underflow_count(), sb);
-}
-
-ThroughputRow throughput_mixed_clock(const fifo::FifoConfig& cfg,
-                                     unsigned cycles) {
-  ThroughputRow row;
-  const sim::Time put_p = fifo::SyncPutSide::min_period(cfg);
-  const sim::Time get_p = fifo::SyncGetSide::min_period(cfg);
-  row.put = sim::period_to_mhz(put_p);
-  row.get = sim::period_to_mhz(get_p);
-  const ValidationResult v = validate_mixed_clock(cfg, put_p, get_p, cycles);
-  row.validated = v.clean() && v.enqueued > cycles / 4 && v.dequeued > cycles / 4;
-  return row;
-}
-
-ThroughputRow throughput_async_sync(const fifo::FifoConfig& cfg,
-                                    unsigned cycles) {
-  ThroughputRow row;
-  row.put_async = true;
-  const sim::Time get_p = fifo::SyncGetSide::min_period(cfg);
-  row.get = sim::period_to_mhz(get_p);
-
-  // Saturated put-side measurement.
-  sim::Simulation sim(1);
-  const sim::Time settle = 4 * get_p;
-  sync::Clock clk_get(sim, "clk_get", {get_p, settle, 0.5, 0});
-  fifo::AsyncSyncFifo dut(sim, "dut", cfg, clk_get.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::AsyncPutDriver put_drv(sim, "put", dut.put_req(), dut.put_ack(),
-                              dut.put_data(), cfg.dm, 0,
-                              width_mask(cfg.width), &sb);
-  std::unique_ptr<bfm::SyncGetDriver> get_drv;
-  if (cfg.controller == fifo::ControllerKind::kFifo) {
-    get_drv = std::make_unique<bfm::SyncGetDriver>(sim, "get", clk_get.out(),
-                                                   dut.req_get(), cfg.dm,
-                                                   bfm::RateConfig{1.0, 1});
-  }
-  bfm::GetMonitor get_mon(sim, clk_get.out(), dut.valid_get(), dut.data_get(),
-                          sb);
-
-  dut.get_domain().set_enabled(false);
-  const sim::Time warmup = settle + 60 * get_p;
-  sim.run_until(warmup);
-  dut.get_domain().set_enabled(true);
-  const std::uint64_t ops0 = put_drv.completed();
-  const sim::Time window = static_cast<sim::Time>(cycles) * get_p;
-  sim.run_until(warmup + window);
-  const std::uint64_t ops = put_drv.completed() - ops0;
-  row.put = static_cast<double>(ops) * 1e6 / static_cast<double>(window);
-  row.validated = dut.get_domain().violations() == 0 &&
-                  dut.overflow_count() == 0 && dut.underflow_count() == 0 &&
-                  sb.errors() == 0 && ops > cycles / 8;
-  return row;
-}
-
-ThroughputRow throughput_sync_async(const fifo::FifoConfig& cfg,
-                                    unsigned cycles) {
-  ThroughputRow row;
-  const sim::Time put_p = fifo::SyncPutSide::min_period(cfg);
-  row.put = sim::period_to_mhz(put_p);
-
-  sim::Simulation sim(1);
-  const sim::Time settle = 4 * put_p;
-  sync::Clock clk_put(sim, "clk_put", {put_p, settle, 0.5, 0});
-  fifo::SyncAsyncFifo dut(sim, "dut", cfg, clk_put.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::PutMonitor put_mon(sim, clk_put.out(), dut.en_put(), dut.req_put(),
-                          dut.data_put(), sb);
-  bfm::SyncPutDriver put_drv(sim, "put", clk_put.out(), dut.req_put(),
-                             dut.data_put(), dut.full(), cfg.dm,
-                             bfm::RateConfig{1.0, 1}, width_mask(cfg.width));
-  bfm::AsyncGetDriver get_drv(sim, "get", dut.get_req(), dut.get_ack(),
-                              dut.get_data(), cfg.dm, 0, &sb);
-
-  dut.put_domain().set_enabled(false);
-  const sim::Time warmup = settle + 60 * put_p;
-  sim.run_until(warmup);
-  dut.put_domain().set_enabled(true);
-  const std::uint64_t ops0 = get_drv.completed();
-  const sim::Time window = static_cast<sim::Time>(cycles) * put_p;
-  sim.run_until(warmup + window);
-  const std::uint64_t ops = get_drv.completed() - ops0;
-  row.get = static_cast<double>(ops) * 1e6 / static_cast<double>(window);
-  row.validated = dut.put_domain().violations() == 0 &&
-                  dut.overflow_count() == 0 && dut.underflow_count() == 0 &&
-                  sb.errors() == 0 && ops > cycles / 8;
-  return row;
-}
-
-AsyncAsyncRow throughput_async_async(const fifo::FifoConfig& cfg,
-                                     unsigned handshakes) {
-  AsyncAsyncRow row;
-  row.validated = true;
-  // Two runs: each side saturated, measured over a post-warmup window.
-  for (int side = 0; side < 2; ++side) {
-    sim::Simulation sim(1);
-    fifo::AsyncAsyncFifo dut(sim, "dut", cfg);
-    bfm::Scoreboard sb(sim, "sb");
-    bfm::AsyncPutDriver put_drv(sim, "put", dut.put_req(), dut.put_ack(),
-                                dut.put_data(), cfg.dm, 0,
-                                width_mask(cfg.width), &sb);
-    bfm::AsyncGetDriver get_drv(sim, "get", dut.get_req(), dut.get_ack(),
-                                dut.get_data(), cfg.dm, 0, &sb);
-    // Warm up, then measure over a fixed simulated-time window sized for
-    // the requested number of handshakes (a handshake is a few ns).
-    sim.run_until(100'000);
-    const std::uint64_t ops0 =
-        side == 0 ? put_drv.completed() : get_drv.completed();
-    const sim::Time t0 = sim.now();
-    sim.run_until(t0 + static_cast<sim::Time>(handshakes) * 5'000);
-    const std::uint64_t ops =
-        (side == 0 ? put_drv.completed() : get_drv.completed()) - ops0;
-    const double mops = static_cast<double>(ops) * 1e6 /
-                        static_cast<double>(sim.now() - t0);
-    (side == 0 ? row.put_mops : row.get_mops) = mops;
-    row.validated = row.validated && sb.errors() == 0 &&
-                    dut.overflow_count() == 0 && dut.underflow_count() == 0;
-  }
-  return row;
-}
-
-LatencyRow latency_sync_async(const fifo::FifoConfig& cfg) {
-  const sim::Time put_p = fifo::SyncPutSide::min_period(cfg);
-  sim::Simulation sim(1);
-  const sim::Time base = 4 * put_p;
-  sync::Clock clk_put(sim, "clk_put", {put_p, base, 0.5, 0});
-  fifo::SyncAsyncFifo dut(sim, "dut", cfg, clk_put.out());
-  bfm::Scoreboard sb(sim, "sb");
-  // The receiver's request is already pending when the item arrives.
-  bfm::AsyncGetDriver get_drv(sim, "get", dut.get_req(), dut.get_ack(),
-                              dut.get_data(), cfg.dm, 0, &sb);
-
-  const sim::Time react = cfg.dm.flop.clk_to_q + 1;
-  const sim::Time edge = base + 12 * put_p;
-  const sim::Time t_start = edge + react;
-  sim.sched().at(t_start, [&] {
-    const std::uint64_t value = 0x2A & width_mask(cfg.width);
-    dut.data_put().set(value);
-    dut.req_put().set(true);
-    sb.push(value);
+ValidationResult validate(Design design, const fifo::FifoConfig& cfg,
+                          sim::Time put, sim::Time get, unsigned cycles,
+                          std::uint64_t seed) {
+  return with_fifo(design, [&]<class Fifo>() {
+    return validate_run<Fifo>(cfg, put, get, cycles, seed);
   });
-  sim.sched().at(edge + put_p + react, [&] { dut.req_put().set(false); });
-
-  sim.run_until(edge + 60 * put_p);
-  LatencyRow row{0, 0};
-  if (get_drv.completed() >= 1) {
-    const double lat =
-        static_cast<double>(get_drv.last_ack_time() - t_start) / 1e3;
-    row.min_ns = lat;
-    row.max_ns = lat;
-  }
-  return row;
 }
 
-LatencyRow latency_async_async(const fifo::FifoConfig& cfg) {
-  sim::Simulation sim(1);
-  fifo::AsyncAsyncFifo dut(sim, "dut", cfg);
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::AsyncGetDriver get_drv(sim, "get", dut.get_req(), dut.get_ack(),
-                              dut.get_data(), cfg.dm, 0, &sb);
-  bfm::AsyncPutDriver put_drv(sim, "put", dut.put_req(), dut.put_ack(),
-                              dut.put_data(), cfg.dm,
-                              bfm::AsyncPutDriver::kManual,
-                              width_mask(cfg.width), &sb);
-
-  const sim::Time t_start = 50'000;
-  sim.sched().at(t_start, [&] { put_drv.issue_one(); });
-  sim.run_until(t_start + 500'000);
-  LatencyRow row{0, 0};
-  if (get_drv.completed() >= 1) {
-    const double lat =
-        static_cast<double>(get_drv.last_ack_time() - t_start) / 1e3;
-    row.min_ns = lat;
-    row.max_ns = lat;
-  }
-  return row;
+ThroughputRow throughput(Design design, const fifo::FifoConfig& cfg,
+                         unsigned cycles) {
+  return with_fifo(design, [&]<class Fifo>() {
+    return throughput_run<Fifo>(cfg, cycles);
+  });
 }
 
-LatencyRow latency_mixed_clock(const fifo::FifoConfig& cfg, unsigned phases) {
-  const sim::Time put_p = fifo::SyncPutSide::min_period(cfg);
-  const sim::Time get_p = fifo::SyncGetSide::min_period(cfg);
-  const sim::Time react = cfg.dm.flop.clk_to_q + 1;
-
-  LatencyRow row{1e18, 0};
-  for (unsigned i = 0; i < phases; ++i) {
-    sim::Simulation sim(1);
-    const sim::Time base = 4 * std::max(put_p, get_p);
-    sync::Clock clk_put(sim, "clk_put", {put_p, base, 0.5, 0});
-    sync::Clock clk_get(
-        sim, "clk_get",
-        {get_p, base + get_p * i / std::max(1u, phases), 0.5, 0});
-    fifo::MixedClockFifo dut(sim, "dut", cfg, clk_put.out(), clk_get.out());
-    bfm::Scoreboard sb(sim, "sb");
-    bfm::GetMonitor mon(sim, clk_get.out(), dut.valid_get(), dut.data_get(), sb);
-    std::unique_ptr<bfm::SyncGetDriver> get_drv;
-    if (cfg.controller == fifo::ControllerKind::kFifo) {
-      get_drv = std::make_unique<bfm::SyncGetDriver>(sim, "get", clk_get.out(),
-                                                     dut.req_get(), cfg.dm,
-                                                     bfm::RateConfig{1.0, 1});
-    }
-
-    // Single put aligned to a CLK_put edge, well after the detectors and
-    // synchronizers have settled into the empty state.
-    const sim::Time edge = base + 12 * put_p;
-    const sim::Time t_start = edge + react;
-    sim.sched().at(t_start, [&] {
-      const std::uint64_t value = 0x2A & width_mask(cfg.width);
-      dut.data_put().set(value);
-      dut.req_put().set(true);
-      sb.push(value);
-    });
-    sim.sched().at(edge + put_p + react, [&] { dut.req_put().set(false); });
-
-    sim.run_until(edge + 60 * std::max(put_p, get_p));
-    if (mon.dequeued() >= 1) {
-      const sim::Time lat = mon.last_dequeue_time() - t_start;
-      row.min_ns = std::min(row.min_ns, static_cast<double>(lat));
-      row.max_ns = std::max(row.max_ns, static_cast<double>(lat));
-    }
-  }
-  row.min_ns /= 1e3;
-  row.max_ns /= 1e3;
-  return row;
-}
-
-LatencyRow latency_async_sync(const fifo::FifoConfig& cfg, unsigned phases) {
-  const sim::Time get_p = fifo::SyncGetSide::min_period(cfg);
-
-  LatencyRow row{1e18, 0};
-  for (unsigned i = 0; i < phases; ++i) {
-    sim::Simulation sim(1);
-    const sim::Time base = 4 * get_p;
-    sync::Clock clk_get(
-        sim, "clk_get",
-        {get_p, base + get_p * i / std::max(1u, phases), 0.5, 0});
-    fifo::AsyncSyncFifo dut(sim, "dut", cfg, clk_get.out());
-    bfm::Scoreboard sb(sim, "sb");
-    bfm::GetMonitor mon(sim, clk_get.out(), dut.valid_get(), dut.data_get(), sb);
-    bfm::AsyncPutDriver put_drv(sim, "put", dut.put_req(), dut.put_ack(),
-                                dut.put_data(), cfg.dm,
-                                bfm::AsyncPutDriver::kManual,
-                                width_mask(cfg.width), &sb);
-    std::unique_ptr<bfm::SyncGetDriver> get_drv;
-    if (cfg.controller == fifo::ControllerKind::kFifo) {
-      get_drv = std::make_unique<bfm::SyncGetDriver>(sim, "get", clk_get.out(),
-                                                     dut.req_get(), cfg.dm,
-                                                     bfm::RateConfig{1.0, 1});
-    }
-
-    const sim::Time t_start = base + 12 * get_p;
-    sim.sched().at(t_start, [&] { put_drv.issue_one(); });
-
-    sim.run_until(t_start + 60 * get_p);
-    if (mon.dequeued() >= 1) {
-      const sim::Time lat = mon.last_dequeue_time() - t_start;
-      row.min_ns = std::min(row.min_ns, static_cast<double>(lat));
-      row.max_ns = std::max(row.max_ns, static_cast<double>(lat));
-    }
-  }
-  row.min_ns /= 1e3;
-  row.max_ns /= 1e3;
-  return row;
+LatencyRow latency(Design design, const fifo::FifoConfig& cfg,
+                   unsigned phases) {
+  return with_fifo(design, [&]<class Fifo>() {
+    return latency_run<Fifo>(cfg, phases);
+  });
 }
 
 }  // namespace mts::metrics

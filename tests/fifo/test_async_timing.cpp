@@ -21,7 +21,8 @@ TEST(AsyncTiming, EstimateTracksMeasurementWithin15Percent) {
   for (unsigned cap : {4u, 8u, 16u}) {
     const FifoConfig cfg = cfg_of(cap, 8);
     const double est = async_put_mops_estimate(cfg);
-    const double meas = metrics::throughput_async_sync(cfg, 500).put;
+    const double meas =
+        metrics::throughput(metrics::Design::kAsyncSync, cfg, 500).put;
     EXPECT_NEAR(est, meas, 0.15 * meas) << "capacity " << cap;
   }
 }

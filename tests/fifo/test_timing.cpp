@@ -19,8 +19,9 @@ FifoConfig cfg_of(unsigned capacity, unsigned width) {
 
 TEST(Timing, MixedClockCleanAtStaticMinimum) {
   const FifoConfig cfg = cfg_of(4, 8);
-  const auto v = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg), SyncGetSide::min_period(cfg), 800);
+  const auto v = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg),
+      SyncGetSide::min_period(cfg), 800);
   EXPECT_TRUE(v.clean()) << "violations=" << v.timing_violations
                          << " over=" << v.overflows << " under=" << v.underflows
                          << " sb=" << v.scoreboard_errors;
@@ -30,8 +31,9 @@ TEST(Timing, MixedClockCleanAtStaticMinimum) {
 
 TEST(Timing, MixedClockCleanAtStaticMinimumLarge) {
   const FifoConfig cfg = cfg_of(16, 16);
-  const auto v = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg), SyncGetSide::min_period(cfg), 600);
+  const auto v = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg),
+      SyncGetSide::min_period(cfg), 600);
   EXPECT_TRUE(v.clean());
   EXPECT_GT(v.dequeued, 150u);
 }
@@ -41,8 +43,8 @@ TEST(Timing, MixedClockFailsWellBelowMinimumGetPeriod) {
   // interface saturates: the empty-detector loop misses edges and the
   // design underflows or corrupts data.
   const FifoConfig cfg = cfg_of(4, 8);
-  const auto v = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg),
+  const auto v = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg),
       SyncGetSide::min_period(cfg) * 3 / 4, 800);
   EXPECT_FALSE(v.clean());
 }
@@ -51,16 +53,16 @@ TEST(Timing, MixedClockFailsWellBelowMinimumPutPeriod) {
   const FifoConfig cfg = cfg_of(4, 8);
   // Consumer much slower: the FIFO rides the full boundary, where a late
   // full flag manifests as overwrites.
-  const auto v = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg) * 3 / 4,
+  const auto v = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg) * 3 / 4,
       SyncGetSide::min_period(cfg) * 3, 800);
   EXPECT_FALSE(v.clean());
 }
 
 TEST(Timing, AsyncSyncCleanAtStaticMinimum) {
   const FifoConfig cfg = cfg_of(4, 8);
-  const auto v = metrics::validate_async_sync(
-      cfg, SyncGetSide::min_period(cfg), 0, 800);
+  const auto v = metrics::validate(
+      metrics::Design::kAsyncSync, cfg, 0, SyncGetSide::min_period(cfg), 800);
   EXPECT_TRUE(v.clean()) << "violations=" << v.timing_violations
                          << " over=" << v.overflows << " under=" << v.underflows
                          << " sb=" << v.scoreboard_errors;
@@ -70,13 +72,14 @@ TEST(Timing, AsyncSyncCleanAtStaticMinimum) {
 TEST(Timing, RelayStationVariantsCleanAtStaticMinimum) {
   FifoConfig cfg = cfg_of(4, 8);
   cfg.controller = ControllerKind::kRelayStation;
-  const auto mc = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg), SyncGetSide::min_period(cfg), 800);
+  const auto mc = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg),
+      SyncGetSide::min_period(cfg), 800);
   EXPECT_TRUE(mc.clean());
   EXPECT_GT(mc.dequeued, 200u);
 
-  const auto as = metrics::validate_async_sync(
-      cfg, SyncGetSide::min_period(cfg), 0, 800);
+  const auto as = metrics::validate(
+      metrics::Design::kAsyncSync, cfg, 0, SyncGetSide::min_period(cfg), 800);
   EXPECT_TRUE(as.clean());
   EXPECT_GT(as.dequeued, 100u);
 }
@@ -123,8 +126,9 @@ TEST(Timing, Table1RelationshipsAreProcessInvariant) {
 TEST(Timing, ScaledProcessStillValidatesDynamically) {
   FifoConfig cfg = cfg_of(4, 8);
   cfg.dm = gates::DelayModel::hp06().scaled(0.6);
-  const auto v = metrics::validate_mixed_clock(
-      cfg, SyncPutSide::min_period(cfg), SyncGetSide::min_period(cfg), 600);
+  const auto v = metrics::validate(
+      metrics::Design::kMixedClock, cfg, SyncPutSide::min_period(cfg),
+      SyncGetSide::min_period(cfg), 600);
   EXPECT_TRUE(v.clean());
   EXPECT_GT(v.dequeued, 150u);
 }

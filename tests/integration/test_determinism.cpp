@@ -10,6 +10,8 @@
 namespace mts {
 namespace {
 
+using enum metrics::Design;
+
 fifo::FifoConfig cfg_of(unsigned capacity) {
   fifo::FifoConfig cfg;
   cfg.capacity = capacity;
@@ -21,8 +23,8 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalValidationRuns) {
   const fifo::FifoConfig cfg = cfg_of(8);
   const sim::Time pp = fifo::SyncPutSide::min_period(cfg);
   const sim::Time gp = fifo::SyncGetSide::min_period(cfg);
-  const auto a = metrics::validate_mixed_clock(cfg, pp, gp, 400, 7);
-  const auto b = metrics::validate_mixed_clock(cfg, pp, gp, 400, 7);
+  const auto a = metrics::validate(kMixedClock, cfg, pp, gp, 400, 7);
+  const auto b = metrics::validate(kMixedClock, cfg, pp, gp, 400, 7);
   EXPECT_EQ(a.enqueued, b.enqueued);
   EXPECT_EQ(a.dequeued, b.dequeued);
   EXPECT_EQ(a.timing_violations, b.timing_violations);
@@ -34,27 +36,27 @@ TEST(Determinism, StochasticModeIsSeedReproducible) {
   cfg.sync.mode = sync::MetaMode::kStochastic;
   const sim::Time pp = fifo::SyncPutSide::min_period(cfg) * 5 / 4;
   const sim::Time gp = fifo::SyncGetSide::min_period(cfg) * 4 / 3;
-  const auto a = metrics::validate_mixed_clock(cfg, pp, gp, 400, 99);
-  const auto b = metrics::validate_mixed_clock(cfg, pp, gp, 400, 99);
+  const auto a = metrics::validate(kMixedClock, cfg, pp, gp, 400, 99);
+  const auto b = metrics::validate(kMixedClock, cfg, pp, gp, 400, 99);
   EXPECT_EQ(a.enqueued, b.enqueued);
   EXPECT_EQ(a.dequeued, b.dequeued);
 }
 
 TEST(Determinism, ThroughputRowsAreStableAcrossRepeats) {
-  const auto a = metrics::throughput_mixed_clock(cfg_of(4), 300);
-  const auto b = metrics::throughput_mixed_clock(cfg_of(4), 300);
+  const auto a = metrics::throughput(kMixedClock, cfg_of(4), 300);
+  const auto b = metrics::throughput(kMixedClock, cfg_of(4), 300);
   EXPECT_DOUBLE_EQ(a.put, b.put);
   EXPECT_DOUBLE_EQ(a.get, b.get);
   EXPECT_EQ(a.validated, b.validated);
 
-  const auto c = metrics::throughput_async_sync(cfg_of(4), 300);
-  const auto d = metrics::throughput_async_sync(cfg_of(4), 300);
+  const auto c = metrics::throughput(kAsyncSync, cfg_of(4), 300);
+  const auto d = metrics::throughput(kAsyncSync, cfg_of(4), 300);
   EXPECT_DOUBLE_EQ(c.put, d.put);
 }
 
 TEST(Determinism, LatencyRowsAreStableAcrossRepeats) {
-  const auto a = metrics::latency_mixed_clock(cfg_of(4), 6);
-  const auto b = metrics::latency_mixed_clock(cfg_of(4), 6);
+  const auto a = metrics::latency(kMixedClock, cfg_of(4), 6);
+  const auto b = metrics::latency(kMixedClock, cfg_of(4), 6);
   EXPECT_DOUBLE_EQ(a.min_ns, b.min_ns);
   EXPECT_DOUBLE_EQ(a.max_ns, b.max_ns);
 }
