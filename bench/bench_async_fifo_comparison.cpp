@@ -13,7 +13,7 @@
 #include <string>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_async_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "gates/netlist.hpp"
 #include "lip/micropipeline.hpp"
 #include "metrics/experiments.hpp"

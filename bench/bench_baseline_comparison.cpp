@@ -18,7 +18,7 @@
 #include "bfm/bfm.hpp"
 #include "fifo/baseline_shift_fifo.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
 #include "sync/clock.hpp"

@@ -6,9 +6,8 @@
 #include <string>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_sync_fifo.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "metrics/waveform.hpp"
 #include "sim/trace.hpp"
 #include "sync/clock.hpp"

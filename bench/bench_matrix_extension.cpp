@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.hpp"
+#include "cli/args.hpp"
 #include "fifo/config.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = benchargs::count_flag(
+      jobs = cli::count_flag(
           argc, argv, i, 0, "usage: bench_matrix_extension [--csv] [--jobs N]");
     }
   }

@@ -19,7 +19,7 @@
 #include <cstring>
 #include <string>
 
-#include "bench_args.hpp"
+#include "cli/args.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/table.hpp"
 #include "metrics/testbench.hpp"
@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--cycles") == 0) {
-      cycles = benchargs::count_flag(argc, argv, i, 1, kUsage);
+      cycles = cli::count_flag(argc, argv, i, 1, kUsage);
     }
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = benchargs::count_flag(argc, argv, i, 0, kUsage);
+      jobs = cli::count_flag(argc, argv, i, 0, kUsage);
     }
   }
 

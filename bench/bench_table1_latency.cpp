@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_args.hpp"
 #include "bfm/bfm.hpp"
+#include "cli/args.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/registry.hpp"
@@ -190,13 +190,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--phases") == 0) {
-      phases = mts::benchargs::count_flag(argc, argv, i, 1, kUsage);
+      phases = mts::cli::count_flag(argc, argv, i, 1, kUsage);
     }
     if (std::strcmp(argv[i], "--hist-json") == 0 && i + 1 < argc) {
       hist_json = argv[++i];
     }
     if (std::strcmp(argv[i], "--jobs") == 0) {
-      jobs = mts::benchargs::count_flag(argc, argv, i, 0, kUsage);
+      jobs = mts::cli::count_flag(argc, argv, i, 0, kUsage);
     }
   }
 

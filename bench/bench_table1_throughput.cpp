@@ -12,7 +12,7 @@
 #include <cstring>
 #include <string>
 
-#include "bench_args.hpp"
+#include "cli/args.hpp"
 #include "fifo/config.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--csv") == 0) csv = true;
     if (std::strcmp(argv[i], "--cycles") == 0) {
-      cycles = mts::benchargs::count_flag(argc, argv, i, 1, kUsage);
+      cycles = mts::cli::count_flag(argc, argv, i, 1, kUsage);
     }
   }
 

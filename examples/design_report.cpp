@@ -9,13 +9,12 @@
 //
 // A capacity or width that is not a plain decimal count, or that the FIFO
 // configuration rejects, prints the reason and exits with status 2.
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "bfm/bfm.hpp"
+#include "cli/args.hpp"
 #include "ctrl/dot.hpp"
 #include "ctrl/specs.hpp"
 #include "fifo/fifo.hpp"
@@ -42,33 +41,21 @@ void print_path(const char* title, const fifo::PathBreakdown& path) {
               sim::period_to_mhz(total));
 }
 
-/// Parses a whole argument as an unsigned decimal count.
-unsigned parse_count(const char* what, const char* text) {
-  unsigned value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end) {
-    throw ConfigError(std::string(what) + " must be a decimal count, got '" +
-                      text + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fifo::FifoConfig cfg;
   cfg.capacity = 8;
   cfg.width = 8;
+  const char* usage = "usage: example_design_report [capacity] [width]";
+  if (argc > 1) {
+    cfg.capacity = cli::count_arg(argv[0], "capacity", argv[1], 2, usage);
+  }
+  if (argc > 2) cfg.width = cli::count_arg(argv[0], "width", argv[2], 1, usage);
   try {
-    if (argc > 1) cfg.capacity = parse_count("capacity", argv[1]);
-    if (argc > 2) cfg.width = parse_count("width", argv[2]);
     cfg.validate();
   } catch (const ConfigError& e) {
-    std::fprintf(stderr,
-                 "example_design_report: %s\n"
-                 "usage: example_design_report [capacity] [width]\n",
-                 e.what());
+    std::fprintf(stderr, "example_design_report: %s\n%s\n", e.what(), usage);
     return 2;
   }
 

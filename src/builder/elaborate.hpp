@@ -29,10 +29,7 @@
 #include "builder/gearbox.hpp"
 #include "builder/router.hpp"
 #include "builder/traffic.hpp"
-#include "fifo/async_async_fifo.hpp"
-#include "fifo/async_sync_fifo.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
-#include "fifo/sync_async_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "gates/netlist.hpp"
 #include "lip/chain.hpp"
 #include "sim/simulation.hpp"

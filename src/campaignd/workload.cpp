@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "fifo/fifo.hpp"
 #include "metrics/testbench.hpp"
@@ -59,7 +60,7 @@ class FifoSoak : public Workload {
         sim, cfg, {pp, 4 * pp, put_rate},
         {gp, 4 * pp + gp / 3 + seed % 7, get_rate});
     if (cov_ != nullptr) {
-      metrics::cover_mixed_clock_fifo(*cov_, "dut", tb.dut);
+      metrics::cover_fifo(*cov_, "dut", tb.dut);
     }
 
     sim.run_until(4 * pp + static_cast<sim::Time>(cycles_) * pp);
@@ -158,13 +159,6 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
     factory = it->second;
   }
   return factory(params);
-}
-
-std::vector<std::string> workload_names() {
-  std::lock_guard<std::mutex> lock(g_registry_mu);
-  std::vector<std::string> names;
-  for (const auto& [n, f] : registered()) names.push_back(n);
-  return names;
 }
 
 }  // namespace mts::campaignd

@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "campaignd/json.hpp"
 #include "metrics/coverage.hpp"
@@ -70,8 +69,5 @@ void register_workload(const std::string& name, WorkloadFactory factory);
 /// unknown name (listing the known ones) or malformed params.
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         const json::Value& params);
-
-/// Registered names, sorted.
-std::vector<std::string> workload_names();
 
 }  // namespace mts::campaignd

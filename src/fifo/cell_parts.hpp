@@ -13,8 +13,8 @@
 //   async, async  async-async  AsyncPutPart + AsyncGetPart + DV_linear ([4])
 //
 // (DvKind::kConservative swaps the mixed-clock SR latch for DV_linear.)
-// Each FIFO class adds only what lies outside the cells: its external
-// wires and its SyncPutSide/SyncGetSide or ack OR trees.
+// fifo::Fifo adds only what lies outside the cells: the external wires and
+// the SyncPutSide/SyncGetSide or ack OR trees (fifo/mixed_timing_fifo.hpp).
 #pragma once
 
 #include <cstdint>

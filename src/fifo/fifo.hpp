@@ -2,12 +2,9 @@
 // contribution).
 #pragma once
 
-#include "fifo/async_async_fifo.hpp"  // IWYU pragma: export
-#include "fifo/async_sync_fifo.hpp"   // IWYU pragma: export
-#include "fifo/async_timing.hpp"      // IWYU pragma: export
-#include "fifo/cell_parts.hpp"        // IWYU pragma: export
-#include "fifo/config.hpp"            // IWYU pragma: export
-#include "fifo/detectors.hpp"         // IWYU pragma: export
-#include "fifo/interface_sides.hpp"   // IWYU pragma: export
-#include "fifo/mixed_clock_fifo.hpp"  // IWYU pragma: export
-#include "fifo/sync_async_fifo.hpp"   // IWYU pragma: export
+#include "fifo/async_timing.hpp"       // IWYU pragma: export
+#include "fifo/cell_parts.hpp"         // IWYU pragma: export
+#include "fifo/config.hpp"             // IWYU pragma: export
+#include "fifo/detectors.hpp"          // IWYU pragma: export
+#include "fifo/interface_sides.hpp"    // IWYU pragma: export
+#include "fifo/mixed_timing_fifo.hpp"  // IWYU pragma: export

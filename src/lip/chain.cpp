@@ -4,6 +4,17 @@
 
 namespace mts::lip {
 
+namespace {
+
+/// A relay station is its FIFO counterpart with only the put and get
+/// controllers changed (Section 5).
+fifo::FifoConfig relay(fifo::FifoConfig cfg) {
+  cfg.controller = fifo::ControllerKind::kRelayStation;
+  return cfg;
+}
+
+}  // namespace
+
 SyncRelayChain::SyncRelayChain(sim::Simulation& sim, const std::string& name,
                                sim::Wire& clk, unsigned length,
                                const gates::DelayModel& dm, sim::Word& in_data,
@@ -70,17 +81,17 @@ MixedClockLink::MixedClockLink(sim::Simulation& sim, const std::string& name,
   valid_out_ = &nl_.wire("valid_out");
   stop_in_ = &nl_.wire("stop_in");
 
-  mcrs_ = &nl_.add<McRelayStation>(sim, nl_.qualified("mcrs"), cfg, clk_left,
-                                   clk_right);
+  mcrs_ = &nl_.add<fifo::MixedClockFifo>(sim, nl_.qualified("mcrs"),
+                                         relay(cfg), clk_left, clk_right);
 
   auto& left = nl_.add<SyncRelayChain>(
       sim, nl_.qualified("left"), clk_left, left_length, cfg.dm, *data_in_,
-      *valid_in_, *stop_out_, mcrs_->packet_in_data(), mcrs_->packet_in_valid(),
+      *valid_in_, *stop_out_, mcrs_->data_put(), mcrs_->req_put(),
       mcrs_->stop_out());
 
   auto& right = nl_.add<SyncRelayChain>(
       sim, nl_.qualified("right"), clk_right, right_length, cfg.dm,
-      mcrs_->packet_out_data(), mcrs_->packet_out_valid(), mcrs_->stop_in(),
+      mcrs_->data_get(), mcrs_->valid_get(), mcrs_->stop_in(),
       *data_out_, *valid_out_, *stop_in_);
 
   // Trace-stream topology: left chain -> MCRS -> right chain, so one
@@ -113,7 +124,8 @@ AsyncSyncLink::AsyncSyncLink(sim::Simulation& sim, const std::string& name,
   valid_out_ = &nl_.wire("valid_out");
   stop_in_ = &nl_.wire("stop_in");
 
-  asrs_ = &nl_.add<AsRelayStation>(sim, nl_.qualified("asrs"), cfg, clk_right);
+  asrs_ = &nl_.add<fifo::AsyncSyncFifo>(sim, nl_.qualified("asrs"),
+                                        relay(cfg), clk_right);
 
   if (ars_length == 0) {
     // Direct asynchronous connection: "in principle, no relay stations need
@@ -132,7 +144,7 @@ AsyncSyncLink::AsyncSyncLink(sim::Simulation& sim, const std::string& name,
 
   auto& srs = nl_.add<SyncRelayChain>(
       sim, nl_.qualified("srs"), clk_right, srs_length, cfg.dm,
-      asrs_->packet_out_data(), asrs_->packet_out_valid(), asrs_->stop_in(),
+      asrs_->data_get(), asrs_->valid_get(), asrs_->stop_in(),
       *data_out_, *valid_out_, *stop_in_);
 
   // Trace-stream topology: ASRS -> SRS chain (the micropipeline ARS hop is

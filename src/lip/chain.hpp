@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "fifo/config.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "gates/netlist.hpp"
 #include "lip/micropipeline.hpp"
 #include "lip/relay_station.hpp"
-#include "lip/stations.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"
 
@@ -73,7 +73,9 @@ class MixedClockLink {
   sim::Wire& valid_out() noexcept { return *valid_out_; }
   sim::Wire& stop_in() noexcept { return *stop_in_; }
 
-  McRelayStation& mcrs() noexcept { return *mcrs_; }
+  /// The mixed-clock relay station (MCRS, Fig. 12): the mixed-clock FIFO
+  /// with relay-station controllers, whatever cfg.controller says.
+  fifo::MixedClockFifo& mcrs() noexcept { return *mcrs_; }
 
   /// Boundary instance names for trace-stream linking with neighbours
   /// (sim/trace_session.hpp): the first/last traced component of the link.
@@ -90,7 +92,7 @@ class MixedClockLink {
   sim::Word* data_out_ = nullptr;
   sim::Wire* valid_out_ = nullptr;
   sim::Wire* stop_in_ = nullptr;
-  McRelayStation* mcrs_ = nullptr;
+  fifo::MixedClockFifo* mcrs_ = nullptr;
 };
 
 /// Fig. 14: an asynchronous sender reaches a synchronous domain through a
@@ -114,7 +116,9 @@ class AsyncSyncLink {
   sim::Wire& valid_out() noexcept { return *valid_out_; }
   sim::Wire& stop_in() noexcept { return *stop_in_; }
 
-  AsRelayStation& asrs() noexcept { return *asrs_; }
+  /// The async-sync relay station (ASRS, Fig. 15): the async-sync FIFO
+  /// with relay-station controllers, whatever cfg.controller says.
+  fifo::AsyncSyncFifo& asrs() noexcept { return *asrs_; }
 
   /// Boundary instance names for trace-stream linking with neighbours.
   const std::string& first_traced_instance() const { return first_traced_; }
@@ -130,7 +134,7 @@ class AsyncSyncLink {
   sim::Word* data_out_ = nullptr;
   sim::Wire* valid_out_ = nullptr;
   sim::Wire* stop_in_ = nullptr;
-  AsRelayStation* asrs_ = nullptr;
+  fifo::AsyncSyncFifo* asrs_ = nullptr;
 };
 
 }  // namespace mts::lip

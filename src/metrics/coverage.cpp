@@ -2,8 +2,7 @@
 
 #include <sstream>
 
-#include "fifo/async_sync_fifo.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 
 namespace mts::metrics {
 
@@ -122,10 +121,13 @@ void attach_occ_buckets(Coverage& cov, const std::string& prefix, Fifo& f) {
 
 }  // namespace
 
-void cover_mixed_clock_fifo(Coverage& cov, const std::string& prefix,
-                            fifo::MixedClockFifo& f) {
-  cov.bin_rise(prefix + ".full.rise", f.full_raw());
-  cov.bin_fall(prefix + ".full.fall", f.full_raw());
+template <fifo::Timing Put>
+void cover_fifo(Coverage& cov, const std::string& prefix,
+                fifo::Fifo<Put, fifo::Timing::kSync>& f) {
+  if constexpr (Put == fifo::Timing::kSync) {
+    cov.bin_rise(prefix + ".full.rise", f.full_raw());
+    cov.bin_fall(prefix + ".full.fall", f.full_raw());
+  }
   cov.bin_rise(prefix + ".ne.rise", f.ne_raw());
   cov.bin_fall(prefix + ".ne.fall", f.ne_raw());
   cov.bin_rise(prefix + ".oe.rise", f.oe_raw());
@@ -137,16 +139,8 @@ void cover_mixed_clock_fifo(Coverage& cov, const std::string& prefix,
   attach_occ_buckets(cov, prefix, f);
 }
 
-void cover_async_sync_fifo(Coverage& cov, const std::string& prefix,
-                           fifo::AsyncSyncFifo& f) {
-  cov.bin_rise(prefix + ".ne.rise", f.ne_raw());
-  cov.bin_fall(prefix + ".ne.fall", f.ne_raw());
-  cov.bin_rise(prefix + ".oe.rise", f.oe_raw());
-  cov.bin_fall(prefix + ".oe.fall", f.oe_raw());
-  cov.bin_nth_rise(prefix + ".ptok.wrap", f.cell_f(0), 2);
-  cov.bin_nth_fall(prefix + ".gtok.wrap", f.cell_f(0), 2);
-  attach_occ_buckets(cov, prefix, f);
-}
+template void cover_fifo(Coverage&, const std::string&, fifo::MixedClockFifo&);
+template void cover_fifo(Coverage&, const std::string&, fifo::AsyncSyncFifo&);
 
 void cover_stall_valid(Coverage& cov, const std::string& prefix,
                        sim::Wire& clk, sim::Wire& valid, sim::Wire& stop) {

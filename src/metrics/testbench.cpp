@@ -18,12 +18,12 @@ template <class Fifo>
 Fifo make_fifo(sim::Simulation& sim, const fifo::FifoConfig& cfg,
                std::optional<sync::Clock>& clk_put,
                std::optional<sync::Clock>& clk_get) {
-  if constexpr (std::is_same_v<Fifo, fifo::MixedClockFifo>) {
+  if constexpr (Fifo::put_sync && Fifo::get_sync) {
     return Fifo(sim, "dut", cfg, clk_put->out(), clk_get->out());
-  } else if constexpr (std::is_same_v<Fifo, fifo::AsyncSyncFifo>) {
-    return Fifo(sim, "dut", cfg, clk_get->out());
-  } else if constexpr (std::is_same_v<Fifo, fifo::SyncAsyncFifo>) {
+  } else if constexpr (Fifo::put_sync) {
     return Fifo(sim, "dut", cfg, clk_put->out());
+  } else if constexpr (Fifo::get_sync) {
+    return Fifo(sim, "dut", cfg, clk_get->out());
   } else {
     return Fifo(sim, "dut", cfg);
   }
@@ -34,14 +34,14 @@ Fifo make_fifo(sim::Simulation& sim, const fifo::FifoConfig& cfg,
 template <class Fifo>
 Testbench<Fifo>::Testbench(sim::Simulation& sim, const fifo::FifoConfig& cfg,
                            const Side& put, const Side& get)
-    : clk_put(make_clock(sim, Sides::put_sync, "clk_put", put)),
-      clk_get(make_clock(sim, Sides::get_sync, "clk_get", get)),
+    : clk_put(make_clock(sim, Fifo::put_sync, "clk_put", put)),
+      clk_get(make_clock(sim, Fifo::get_sync, "clk_get", get)),
       dut(make_fifo<Fifo>(sim, cfg, clk_put, clk_get)),
       sb(sim, "sb") {
   const std::uint64_t mask = width_mask(cfg.width);
   const bool relay = cfg.controller == fifo::ControllerKind::kRelayStation;
 
-  if constexpr (Sides::put_sync) {
+  if constexpr (Fifo::put_sync) {
     const bool manual = put.gap == kManual;
     if (relay && !manual) {
       rs_source.emplace(sim, "src", clk_put->out(), dut.data_put(),
@@ -61,7 +61,7 @@ Testbench<Fifo>::Testbench(sim::Simulation& sim, const fifo::FifoConfig& cfg,
                       dut.put_data(), cfg.dm, put.gap, mask, &sb);
   }
 
-  if constexpr (Sides::get_sync) {
+  if constexpr (Fifo::get_sync) {
     const bool manual = get.gap == kManual;
     if (relay && !manual) {
       rs_sink.emplace(sim, "sink", clk_get->out(), dut.data_get(),

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 
 #include "bfm/bfm.hpp"
 #include "fifo/fifo.hpp"
@@ -31,15 +30,6 @@
 #include "sync/clock.hpp"
 
 namespace mts::metrics {
-
-/// Which sides of a FIFO design are synchronous.
-template <class Fifo>
-struct FifoSides {
-  static constexpr bool put_sync = std::is_same_v<Fifo, fifo::MixedClockFifo> ||
-                                   std::is_same_v<Fifo, fifo::SyncAsyncFifo>;
-  static constexpr bool get_sync = std::is_same_v<Fifo, fifo::MixedClockFifo> ||
-                                   std::is_same_v<Fifo, fifo::AsyncSyncFifo>;
-};
 
 /// What one side's stimulus runs at. A synchronous side reads period,
 /// phase and rate; an asynchronous side reads gap.
@@ -61,8 +51,6 @@ inline std::uint64_t width_mask(unsigned width) {
 template <class Fifo>
 class Testbench {
  public:
-  using Sides = FifoSides<Fifo>;
-
   /// Throws ConfigError for a manual asynchronous get side (the
   /// AsyncGetDriver has no manual mode).
   Testbench(sim::Simulation& sim, const fifo::FifoConfig& cfg,

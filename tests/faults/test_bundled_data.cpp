@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_sync_fifo.hpp"
 #include "fifo/async_timing.hpp"
 #include "fifo/interface_sides.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sim/fault.hpp"
 #include "sync/clock.hpp"
 

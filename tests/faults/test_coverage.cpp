@@ -9,7 +9,7 @@
 
 #include "bfm/bfm.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "lip/chain.hpp"
 #include "sync/clock.hpp"
 
@@ -89,7 +89,7 @@ TEST(Coverage, MixedClockFifoBinsAllHitUnderSaturatedTraffic) {
   sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3, 0.5, 0});
   fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
   Coverage cov("mcfifo");
-  cover_mixed_clock_fifo(cov, "mc", dut);
+  cover_fifo(cov, "mc", dut);
   EXPECT_FALSE(cov.all_hit());  // nothing has run yet
 
   bfm::Scoreboard sb(sim, "sb");
@@ -131,7 +131,7 @@ TEST(Coverage, StallValidBinsOnARelayLink) {
                    link.stop_in(), cfg.dm, 0.45, sb);
   Coverage cov("link");
   cover_stall_valid(cov, "out", cg.out(), link.valid_out(), link.stop_in());
-  cover_mixed_clock_fifo(cov, "mcrs", link.mcrs().fifo());
+  cover_fifo(cov, "mcrs", link.mcrs());
   // The relay chains throttle the drain, so under steady traffic the MCRS
   // hugs the full end. A source pause mid-run lets the link drain (oe and
   // sv.idle bins; occ buckets are FIFO-controller-only -- relay cells

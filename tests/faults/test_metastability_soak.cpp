@@ -24,7 +24,7 @@
 
 #include "bfm/bfm.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
 #include "sync/clock.hpp"

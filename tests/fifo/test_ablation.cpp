@@ -5,7 +5,7 @@
 
 #include "bfm/bfm.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sync/clock.hpp"
 
 namespace mts::fifo {

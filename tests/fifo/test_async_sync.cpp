@@ -1,4 +1,4 @@
-#include "fifo/async_sync_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 
 #include <gtest/gtest.h>
 

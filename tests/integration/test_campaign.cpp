@@ -29,7 +29,7 @@
 #include "campaignd/json.hpp"
 #include "campaignd/workload.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "metrics/coverage.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
@@ -227,7 +227,7 @@ DetArtifacts run_det_campaign(unsigned workers, const std::string& tag) {
                            0xFF);
     bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
                            {0.85, 1});
-    metrics::cover_mixed_clock_fifo(covs[ctx.worker()], "dut", dut);
+    metrics::cover_fifo(covs[ctx.worker()], "dut", dut);
 
     // Distinct VCD file per (worker-count, run): runs never share a path
     // within one campaign, and the two campaigns under comparison never

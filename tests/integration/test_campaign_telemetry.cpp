@@ -11,9 +11,8 @@
 #include <string>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_sync_fifo.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "metrics/registry.hpp"
 #include "sim/campaign.hpp"
 #include "sim/observe.hpp"

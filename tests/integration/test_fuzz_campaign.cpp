@@ -179,16 +179,16 @@ void run_relay_trial(sim::CampaignContext& ctx, const RelayFuzzCase& c,
                      link.stop_in(), cfg.dm, c.stall_rate, sb);
     metrics::cover_stall_valid(cov, "mc", cg.out(), link.valid_out(),
                                link.stop_in());
-    metrics::cover_mixed_clock_fifo(cov, "mcrs", link.mcrs().fifo());
+    metrics::cover_fifo(cov, "mcrs", link.mcrs());
     if (c.pause) {
       sim.sched().at(4 * pp + 500 * pp, [&src] { src.set_enabled(false); });
       sim.sched().at(4 * pp + 700 * pp, [&src] { src.set_enabled(true); });
     }
     sim.run_until(4 * pp + 900 * pp);
     ctx.set("errors", static_cast<double>(sb.errors()));
-    ctx.set("overflow", static_cast<double>(link.mcrs().fifo().overflow_count()));
+    ctx.set("overflow", static_cast<double>(link.mcrs().overflow_count()));
     ctx.set("underflow",
-            static_cast<double>(link.mcrs().fifo().underflow_count()));
+            static_cast<double>(link.mcrs().underflow_count()));
     ctx.set("received", static_cast<double>(sink.received_valid()));
   } else {
     const Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
@@ -205,7 +205,7 @@ void run_relay_trial(sim::CampaignContext& ctx, const RelayFuzzCase& c,
                      link.stop_in(), cfg.dm, c.stall_rate, sb);
     metrics::cover_stall_valid(cov, "as", cg.out(), link.valid_out(),
                                link.stop_in());
-    metrics::cover_async_sync_fifo(cov, "asrs", link.asrs().fifo());
+    metrics::cover_fifo(cov, "asrs", link.asrs());
     sim.run_until(4 * gp + 900 * gp);
     ctx.set("errors", static_cast<double>(sb.errors()));
     ctx.set("overflow", 0.0);

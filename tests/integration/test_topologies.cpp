@@ -48,8 +48,8 @@ TEST_P(Fig11Topology, MixedClockLinkDeliversEverythingInOrder) {
 
   sim.run_until(4 * pp + 900 * pp);
   EXPECT_EQ(sb.errors(), 0u);
-  EXPECT_EQ(link.mcrs().fifo().overflow_count(), 0u);
-  EXPECT_EQ(link.mcrs().fifo().underflow_count(), 0u);
+  EXPECT_EQ(link.mcrs().overflow_count(), 0u);
+  EXPECT_EQ(link.mcrs().underflow_count(), 0u);
   EXPECT_GT(sink.received_valid(), 80u);
 }
 

@@ -80,8 +80,8 @@ TEST(MixedClockLinkTest, EndToEndAcrossDomainsAndChains) {
   sim.run_until(4 * pp + 1200 * pp);
   EXPECT_GT(sink.received_valid(), 400u);
   EXPECT_EQ(sb.errors(), 0u);
-  EXPECT_EQ(link.mcrs().fifo().overflow_count(), 0u);
-  EXPECT_EQ(link.mcrs().fifo().underflow_count(), 0u);
+  EXPECT_EQ(link.mcrs().overflow_count(), 0u);
+  EXPECT_EQ(link.mcrs().underflow_count(), 0u);
 }
 
 TEST(AsyncSyncLinkTest, Fig14TopologyEndToEnd) {

@@ -20,7 +20,11 @@ std::string read_file(const std::string& path) {
 
 class TraceTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "mts_trace_test.vcd";
+  // One file per test: ctest runs the tests of this fixture in parallel.
+  std::string path_ =
+      ::testing::TempDir() + "mts_trace_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".vcd";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -10,9 +10,9 @@
 #include <cstdint>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_sync_fifo.hpp"
 #include "fifo/async_timing.hpp"
 #include "fifo/interface_sides.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
 #include "sync/clock.hpp"

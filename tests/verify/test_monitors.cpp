@@ -6,10 +6,9 @@
 #include <cstdint>
 
 #include "bfm/bfm.hpp"
-#include "fifo/async_sync_fifo.hpp"
 #include "fifo/async_timing.hpp"
 #include "fifo/interface_sides.hpp"
-#include "fifo/mixed_clock_fifo.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sim/fault.hpp"
 #include "sim/signal.hpp"
 #include "sim/simulation.hpp"

@@ -6,9 +6,9 @@
 #include <cstdint>
 #include <string>
 
-#include "fifo/async_sync_fifo.hpp"
-#include "fifo/interface_sides.hpp"
 #include "bfm/bfm.hpp"
+#include "fifo/interface_sides.hpp"
+#include "fifo/mixed_timing_fifo.hpp"
 #include "sim/simulation.hpp"
 #include "sim/watchdog.hpp"
 #include "sync/clock.hpp"

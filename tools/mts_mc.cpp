@@ -5,7 +5,7 @@
 //   --all              clean proofs at capacities 4 and 8, differential
 //                      check of the shipped DV nets against ctrl::analyze(),
 //                      and the full mutant self-test with replay cross-check
-//   --capacity N       clean proof of the default ring at capacity N
+//   --capacity N       clean proof of the default ring at capacity N >= 2
 //   --mutant NAME      one seeded mutant: expect its property + replay
 //   --list-mutants     print the mutant set and exit
 //
@@ -18,7 +18,8 @@
 //   --bundle-dir DIR   write <name>.cex.json per failure into DIR
 //
 // Exit status: 0 iff every requested check came out as expected (clean
-// configs prove, mutants counterexample AND replay to the right invariant).
+// configs prove, mutants counterexample AND replay to the right invariant);
+// 2 on a usage error, including a malformed or out-of-range number.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/args.hpp"
 #include "ctrl/reachability.hpp"
 #include "ctrl/specs.hpp"
 #include "mc/mc.hpp"
@@ -44,12 +46,13 @@ struct Args {
   mc::ExploreOptions opts;
 };
 
+constexpr const char* kUsage =
+    "usage: mts_mc [--all] [--capacity N] [--mutant NAME] [--list-mutants]\n"
+    "              [--max-states N] [--dfs-depth N] [--no-liveness]\n"
+    "              [--json PATH] [--bundle-dir DIR]";
+
 [[noreturn]] void usage(int code) {
-  std::fprintf(
-      code == 0 ? stdout : stderr,
-      "usage: mts_mc [--all] [--capacity N] [--mutant NAME] [--list-mutants]\n"
-      "              [--max-states N] [--dfs-depth N] [--no-liveness]\n"
-      "              [--json PATH] [--bundle-dir DIR]\n");
+  std::fprintf(code == 0 ? stdout : stderr, "%s\n", kUsage);
   std::exit(code);
 }
 
@@ -65,7 +68,7 @@ Args parse(int argc, char** argv) {
     if (std::strcmp(arg, "--all") == 0) {
       a.all = true;
     } else if (std::strcmp(arg, "--capacity") == 0) {
-      a.capacity = static_cast<unsigned>(std::atoi(need_value(argc, argv, i)));
+      a.capacity = cli::count_flag(argc, argv, i, 2, kUsage);
       a.all = false;
     } else if (std::strcmp(arg, "--mutant") == 0) {
       a.mutant = need_value(argc, argv, i);
@@ -75,10 +78,9 @@ Args parse(int argc, char** argv) {
       a.all = false;
     } else if (std::strcmp(arg, "--max-states") == 0) {
       a.opts.max_states =
-          static_cast<std::size_t>(std::atoll(need_value(argc, argv, i)));
+          cli::count_flag<std::size_t>(argc, argv, i, 1, kUsage);
     } else if (std::strcmp(arg, "--dfs-depth") == 0) {
-      a.opts.dfs_depth =
-          static_cast<unsigned>(std::atoi(need_value(argc, argv, i)));
+      a.opts.dfs_depth = cli::count_flag(argc, argv, i, 0, kUsage);
     } else if (std::strcmp(arg, "--no-liveness") == 0) {
       a.opts.check_liveness = false;
     } else if (std::strcmp(arg, "--json") == 0) {

@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "cli/args.hpp"
+
 namespace {
 
 struct Point {
@@ -46,10 +48,11 @@ struct Args {
   bool json = false;
 };
 
+constexpr const char* kUsage =
+    "usage: mts_timeline [--series SUBSTR] [--width N] [--json] FILE|-";
+
 [[noreturn]] void usage(int code) {
-  std::fprintf(code == 0 ? stdout : stderr,
-               "usage: mts_timeline [--series SUBSTR] [--width N] [--json] "
-               "FILE|-\n");
+  std::fprintf(code == 0 ? stdout : stderr, "%s\n", kUsage);
   std::exit(code);
 }
 
@@ -63,10 +66,7 @@ Args parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage(2);
       a.series_filter = argv[++i];
     } else if (std::strcmp(arg, "--width") == 0) {
-      if (i + 1 >= argc) usage(2);
-      const int w = std::atoi(argv[++i]);
-      if (w < 1) usage(2);
-      a.width = static_cast<std::size_t>(w);
+      a.width = mts::cli::count_flag<std::size_t>(argc, argv, i, 1, kUsage);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(0);
     } else if (arg[0] == '-' && std::strcmp(arg, "-") != 0) {
