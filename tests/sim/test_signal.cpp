@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace mts::sim {
@@ -206,10 +207,12 @@ TEST(Signal, ThousandsOfPendingTransportWritesCommitLinearly) {
 }
 
 // An inertial write cancels every pending write in O(1) via the generation
-// watermark; cancelled transactions still recycle their slots.
+// watermark; cancelled transactions still recycle their slots. The wire
+// starts high so the inertial write is a real change (a settled-value one
+// would schedule nothing) and a surviving transport write would show.
 TEST(Signal, InertialCancellationRecyclesCancelledSlots) {
   Simulation sim;
-  Wire w(sim, "w");
+  Wire w(sim, "w", true);
   for (int i = 0; i < 100; ++i) {
     w.write(true, static_cast<Time>(i + 10), DelayKind::kTransport);
   }
@@ -224,6 +227,144 @@ TEST(Signal, InertialCancellationRecyclesCancelledSlots) {
   }
   EXPECT_EQ(w.pool_slots(), pool_after_cancel);
   sim.run();
+}
+
+// --- Settled-value elision ------------------------------------------------
+//
+// An inertial write of the value the wire already holds cancels every
+// pending write but schedules nothing: its commit would change nothing.
+
+TEST(Signal, SettledInertialWriteSchedulesNothing) {
+  Simulation sim;
+  Wire w(sim, "w", true);
+  int changes = 0;
+  w.on_change([&](bool, bool) { ++changes; });
+  const std::uint64_t before = sim.sched().events_executed();
+  w.write(true, 100, DelayKind::kInertial);
+  EXPECT_EQ(w.pending_writes(), 0u);
+  EXPECT_EQ(w.pool_slots(), 0u);
+  sim.run();
+  EXPECT_EQ(sim.sched().events_executed(), before);
+  EXPECT_TRUE(w.read());
+  EXPECT_EQ(changes, 0);
+}
+
+TEST(Signal, SettledInertialWriteStillCancelsPendingTransportWrites) {
+  Simulation sim;
+  Word d(sim, "d", 5);
+  int changes = 0;
+  d.on_change([&](const std::uint64_t&, const std::uint64_t&) { ++changes; });
+  d.write(6, 10, DelayKind::kTransport);
+  d.write(7, 20, DelayKind::kTransport);
+  EXPECT_EQ(d.pending_writes(), 2u);
+  d.write(5, 30, DelayKind::kInertial);  // settled: cancels both
+  EXPECT_EQ(d.pending_writes(), 0u);
+  sim.run();
+  EXPECT_EQ(d.read(), 5u);
+  EXPECT_EQ(changes, 0);
+}
+
+TEST(Signal, InertialWriteOfNewValueStillPendsAndCommits) {
+  Simulation sim;
+  Wire w(sim, "w");
+  std::vector<Time> rises;
+  w.on_rise([&] { rises.push_back(sim.now()); });
+  w.write(false, 10, DelayKind::kInertial);  // settled: elided
+  w.write(true, 40, DelayKind::kInertial);   // a change: pends
+  EXPECT_EQ(w.pending_writes(), 1u);
+  sim.run();
+  EXPECT_EQ(w.pending_writes(), 0u);
+  EXPECT_TRUE(w.read());
+  EXPECT_EQ(rises, (std::vector<Time>{40}));
+}
+
+// --- The no-mixing guard ----------------------------------------------------
+//
+// Inside an elided write's window (now() <= the time its commit would have
+// run) a set() or transport commit that changes the wire would have been
+// overwritten by that commit; the signal throws instead of diverging.
+
+/// Runs `f` and returns the SimulationError message it throws ("" if none).
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const SimulationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SignalGuard, SetInsideTheWindowThrowsNamingTheWire) {
+  Simulation sim;
+  Wire w(sim, "top.q");
+  w.write(false, 100, DelayKind::kInertial);  // settled until t=100
+  sim.run_until(40);
+  const std::string msg = error_of([&] { w.set(true); });
+  EXPECT_NE(msg.find("top.q"), std::string::npos) << msg;
+  EXPECT_FALSE(w.read());
+}
+
+TEST(SignalGuard, SetAtTheWindowEndThrows) {
+  Simulation sim;
+  Wire w(sim, "top.q");
+  w.write(false, 100, DelayKind::kInertial);
+  sim.run_until(100);
+  EXPECT_NE(error_of([&] { w.set(true); }).find("top.q"), std::string::npos);
+}
+
+TEST(SignalGuard, TransportCommitInsideTheWindowThrows) {
+  Simulation sim;
+  Word d(sim, "top.bus", 3);
+  d.write(3, 100, DelayKind::kInertial);  // settled until t=100
+  d.write(9, 50, DelayKind::kTransport);  // would have been overwritten
+  const std::string msg = error_of([&] { sim.run(); });
+  EXPECT_NE(msg.find("top.bus"), std::string::npos) << msg;
+}
+
+TEST(SignalGuard, TransportCommitAtTheWindowEndThrows) {
+  Simulation sim;
+  Word d(sim, "top.bus", 3);
+  d.write(3, 100, DelayKind::kInertial);
+  d.write(9, 100, DelayKind::kTransport);
+  EXPECT_NE(error_of([&] { sim.run(); }).find("top.bus"), std::string::npos);
+}
+
+TEST(SignalGuard, NoThrowOnceTheWindowHasPassed) {
+  Simulation sim;
+  Word d(sim, "d", 3);
+  d.write(3, 100, DelayKind::kInertial);
+  d.write(9, 101, DelayKind::kTransport);
+  sim.run();
+  EXPECT_EQ(d.read(), 9u);
+  sim.run_until(500);
+  d.set(4);
+  EXPECT_EQ(d.read(), 4u);
+}
+
+TEST(SignalGuard, NoThrowAfterAnInertialWriteThatSchedules) {
+  Simulation sim;
+  Wire w(sim, "w");
+  w.write(false, 100, DelayKind::kInertial);  // settled until t=100
+  w.write(true, 10, DelayKind::kInertial);    // schedules: window closed
+  sim.run_until(20);
+  EXPECT_TRUE(w.read());
+  w.set(false);
+  EXPECT_FALSE(w.read());
+  w.write(true, 5, DelayKind::kTransport);
+  sim.run();
+  EXPECT_TRUE(w.read());
+}
+
+TEST(SignalGuard, UnchangedValueInsideTheWindowIsNoConflict) {
+  Simulation sim;
+  Wire w(sim, "w");
+  w.write(false, 100, DelayKind::kInertial);
+  w.write(false, 10, DelayKind::kTransport);
+  sim.run_until(50);
+  w.set(false);
+  sim.run();
+  EXPECT_FALSE(w.read());
 }
 
 }  // namespace
