@@ -11,11 +11,14 @@
 //      link -> stalling sink) elaborated vs hand-wired, full-boundary VCD
 //      hash equality on one Simulation seed;
 //   3. a campaign sweeping an elaborated design is byte-identical between
-//      1 and 4 workers, design-JSON artifacts included.
+//      1 and 4 workers, design-JSON artifacts included;
+//   4. one design that generates every source and sink row of the endpoint
+//      table hashes to a committed golden.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -336,6 +339,140 @@ TEST(BuilderGolden, ElaboratedCampaignIsWorkerCountInvariant) {
   const std::string seq = run_builder_campaign(1);
   const std::string par = run_builder_campaign(4);
   EXPECT_EQ(seq, par);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Generated endpoints: every source and sink row of the endpoint table.
+// ---------------------------------------------------------------------------
+
+// Recorded on the design below; any change to which BFMs a generated node
+// gets, how they are wired or the order they are built in moves it.
+constexpr std::uint64_t kGoldenEndpointsHash = 0x1e9ae6b3c6e03cbbull;
+
+// Registers every wire of one edge boundary under `name`.
+void watch_endpoint(sim::VcdWriter& vcd, const builder::Endpoint& ep,
+                    const std::string& name, unsigned width) {
+  switch (ep.style) {
+    case builder::EndpointStyle::kLi:
+      vcd.watch(*ep.li.data, width, name + ".data");
+      vcd.watch(*ep.li.valid, name + ".valid");
+      vcd.watch(*ep.li.stop, name + ".stop");
+      break;
+    case builder::EndpointStyle::kHandshake:
+      vcd.watch(*ep.hs.req, name + ".req");
+      vcd.watch(*ep.hs.ack, name + ".ack");
+      vcd.watch(*ep.hs.data, width, name + ".data");
+      break;
+    case builder::EndpointStyle::kFifoPut:
+      vcd.watch(*ep.fput.req_put, name + ".req_put");
+      vcd.watch(*ep.fput.data_put, width, name + ".data_put");
+      vcd.watch(*ep.fput.full, name + ".full");
+      vcd.watch(*ep.fput.en_put, name + ".en_put");
+      break;
+    case builder::EndpointStyle::kFifoGet:
+      vcd.watch(*ep.fget.req_get, name + ".req_get");
+      vcd.watch(*ep.fget.data_get, width, name + ".data_get");
+      vcd.watch(*ep.fget.valid_get, name + ".valid_get");
+      vcd.watch(*ep.fget.empty, name + ".empty");
+      vcd.watch(*ep.fget.stop_in, name + ".stop_in");
+      break;
+  }
+}
+
+TEST(BuilderGolden, GeneratedEndpointsMatchGolden) {
+  fifo::FifoConfig probe;
+  probe.capacity = 4;
+  probe.width = 8;
+  const Time p = 2 * std::max(fifo::SyncPutSide::min_period(probe),
+                              fifo::SyncGetSide::min_period(probe));
+
+  sim::Simulation sim(5);
+  Design d("endpoints");
+  const DomainId a = d.domain("clk_a", {p, 4 * p, 0.5, 0});
+  const DomainId b = d.domain("clk_b", {p * 13 / 8, 4 * p + 89, 0.5, 0});
+  const DomainId c = d.domain("clk_c", {p * 7 / 5, 4 * p + 211, 0.5, 0});
+
+  LinkOptions fifo_link;
+  fifo_link.capacity = 4;
+  fifo_link.controller = fifo::ControllerKind::kFifo;
+  LinkOptions relay_link;
+  relay_link.capacity = 4;
+  relay_link.latency_left = 1;
+  relay_link.latency_right = 2;
+
+  // Sync rates and stalls are dyadic so that a rate and its complement
+  // are both exact.
+  const builder::SourceAttrs sync_src{0.75, 0, 0xFF};
+  const builder::SinkAttrs sync_snk{0.25};
+  std::vector<NodeId> sinks;
+  std::vector<EdgeId> edges;
+  const auto pair = [&](const std::string& name, const builder::PortDecl& out,
+                        const builder::SourceAttrs& sa,
+                        const builder::PortDecl& in,
+                        const builder::SinkAttrs& ka, const LinkOptions& opt) {
+    const NodeId src = d.source(name + "_src", out, sa);
+    const NodeId snk = d.sink(name + "_snk", in, ka);
+    edges.push_back(d.connect(src, "out", snk, "in", opt, name));
+    sinks.push_back(snk);
+  };
+  // FIFO ports on both sides (PutMonitor/SyncPutDriver, GetMonitor/
+  // SyncGetDriver).
+  pair("mc", Design::sync_out("out", a, 8), sync_src,
+       Design::sync_in("in", b, 8), sync_snk, fifo_link);
+  // Handshake put (AsyncPutDriver) into a FIFO get port.
+  pair("as", Design::async_out("out", 8), {1.0, 700, 0xFF},
+       Design::sync_in("in", c, 8), sync_snk, fifo_link);
+  // FIFO put port into a pull handshake (AsyncGetDriver).
+  pair("sa", Design::sync_out("out", b, 8), sync_src,
+       Design::async_in("in", 8), {0.0, 500}, fifo_link);
+  // Handshakes on both sides of the token-ring FIFO.
+  pair("aa", Design::async_out("out", 8), {1.0, 0, 0xFF},
+       Design::async_in("in", 8), {0.0, 900}, fifo_link);
+  // MCRS link with latency: RsSource into RsSink.
+  pair("mcrs", Design::sync_out("out", a, 8), sync_src,
+       Design::sync_in("in", c, 8), sync_snk, relay_link);
+  // Micropipeline: its output is push-style (AsyncAckSink).
+  pair("pipe", Design::async_out("out", 8), {1.0, 300, 0xFF},
+       Design::async_in("in", 8), {0.0, 400}, relay_link);
+
+  auto elab = builder::elaborate(sim, d);
+  const std::vector<builder::Primitive> want = {
+      builder::Primitive::kMixedClockFifo, builder::Primitive::kAsyncSyncFifo,
+      builder::Primitive::kSyncAsyncFifo, builder::Primitive::kAsyncAsyncFifo,
+      builder::Primitive::kMixedClockFifo, builder::Primitive::kMicropipeline};
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(elab->edge(edges[i]).primitive, want[i]) << "edge " << i;
+  }
+
+  const std::string path = ::testing::TempDir() + "mts_builder_endpoints.vcd";
+  std::string bytes;
+  {
+    sim::VcdWriter vcd(path);
+    vcd.watch(elab->clock(a).out(), "clk_a");
+    vcd.watch(elab->clock(b).out(), "clk_b");
+    vcd.watch(elab->clock(c).out(), "clk_c");
+    for (const EdgeId e : edges) {
+      const std::string& name = d.edge(e).name;
+      watch_endpoint(vcd, elab->edge(e).head, name + ".head", 8);
+      watch_endpoint(vcd, elab->edge(e).tail, name + ".tail", 8);
+    }
+    vcd.start();
+    sim.run_until(4 * p + 300 * p);
+    vcd.finish();
+    bytes = slurp(path);
+  }
+  std::remove(path.c_str());
+
+  for (const NodeId snk : sinks) {
+    EXPECT_GT(elab->sink_received(snk), 20u) << d.node(snk).name;
+    bytes += d.node(snk).name + "=" +
+             std::to_string(elab->sink_received(snk)) + "\n";
+  }
+  EXPECT_EQ(elab->total_order_violations(), 0u);
+  const std::uint64_t h = fnv1a(bytes);
+  EXPECT_EQ(h, kGoldenEndpointsHash)
+      << "the generated sources and sinks diverged from the golden: got 0x"
+      << std::hex << h;
 }
 
 }  // namespace
