@@ -21,6 +21,7 @@
 #include "fifo/mixed_timing_fifo.hpp"
 #include "metrics/experiments.hpp"
 #include "metrics/table.hpp"
+#include "metrics/testbench.hpp"
 #include "sync/clock.hpp"
 
 namespace {
@@ -95,19 +96,13 @@ double run_token_ring_throughput(unsigned capacity) {
   const Time pp = 2 * fifo::SyncPutSide::min_period(cfg);
   const Time gp = 2 * fifo::SyncGetSide::min_period(cfg);
   sim::Simulation sim(1);
-  sync::Clock cp(sim, "cp", {pp, 4 * pp, 0.5, 0});
-  sync::Clock cg(sim, "cg", {gp, 4 * pp + gp / 3, 0.5, 0});
-  fifo::MixedClockFifo dut(sim, "dut", cfg, cp.out(), cg.out());
-  bfm::Scoreboard sb(sim, "sb");
-  bfm::GetMonitor mon(sim, cg.out(), dut.valid_get(), dut.data_get(), sb);
-  bfm::SyncPutDriver put(sim, "put", cp.out(), dut.req_put(), dut.data_put(),
-                         dut.full(), cfg.dm, {1.0, 1}, 0xFF);
-  bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm, {1.0, 1});
+  metrics::Testbench<fifo::MixedClockFifo> tb(sim, cfg, {pp, 4 * pp},
+                                              {gp, 4 * pp + gp / 3});
   sim.run_until(4 * pp + 200 * pp);
-  const auto before = mon.dequeued();
+  const auto before = tb.delivered();
   const Time t0 = sim.now();
   sim.run_until(t0 + 600 * gp);
-  return static_cast<double>(mon.dequeued() - before) / 600.0;
+  return static_cast<double>(tb.delivered() - before) / 600.0;
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ int main() {
   auto elab = builder::elaborate(sim, d);
 
   // Bursty asynchronous producer: streams back to back, then idles.
-  bfm::AsyncPutDriver& producer = *elab->node(sensor).async_put;
+  bfm::AsyncPutDriver& producer = *elab->node(sensor).put_end->async_put;
   auto bursts = std::make_shared<std::uint64_t>(0);
   auto toggle = std::make_shared<std::function<void()>>();
   *toggle = [&sim, &producer, bursts, toggle, bus_period] {

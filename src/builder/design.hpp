@@ -49,8 +49,8 @@ enum class PortDir { kOut, kIn };
 /// What a node is lowered to at elaboration time.
 enum class NodeKind {
   kExternal,  ///< ports exposed as raw signals for caller-supplied logic
-  kSource,    ///< generated traffic source (RsSource / AsyncPutDriver / tagged)
-  kSink,      ///< generated checking sink (RsSink / drivers / tagged)
+  kSource,    ///< generated traffic source (a bfm::PutEnd, or tagged)
+  kSink,      ///< generated checking sink (a bfm::GetEnd, or tagged)
   kRepeater,  ///< same-domain pass-through junction (buffered wires)
   kRouter,    ///< 2D-mesh router with XY routing (router.hpp)
   kBus,       ///< multi-drop shared bus with round-robin arbitration (bus.hpp)

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "gates/combinational.hpp"
+#include "metrics/testbench.hpp"
 #include "sim/error.hpp"
 #include "sim/observe.hpp"
 #include "sim/report.hpp"
@@ -80,11 +81,34 @@ LiPort Elaborated::li_wires(const std::string& base) {
   return p;
 }
 
+HandshakePort Elaborated::hs_wires(const std::string& base) {
+  return {&nl_.wire(base + ".req"), &nl_.wire(base + ".ack"),
+          &nl_.word(base + ".data")};
+}
+
 void Elaborated::link_traces(const std::string& up, const std::string& down) {
   sim::Observability* obs = sim_.observability();
   if (obs == nullptr || obs->trace == nullptr) return;
   if (up.empty() || down.empty()) return;
   obs->trace->link(up, down);
+}
+
+sim::Wire* Elaborated::port_clock(const PortDecl& p) const {
+  return p.style == TimingStyle::kSync ? &clocks_[p.domain]->out() : nullptr;
+}
+
+template <class Fifo>
+Fifo& Elaborated::lower_fifo(const Edge& e, const std::string& name,
+                             const fifo::FifoConfig& cfg) {
+  Fifo& f = nl_.add<Fifo>(sim_, name, cfg,
+                          port_clock(design_.node(e.from).ports[e.from_port]),
+                          port_clock(design_.node(e.to).ports[e.to_port]));
+  EdgeParts& parts = edges_[e.id];
+  parts.head = metrics::put_endpoint(f);
+  parts.tail = metrics::get_endpoint(f);
+  parts.head.traced = parts.tail.traced = name;
+  inserted_.push_back({e.id, parts.primitive, name});
+  return f;
 }
 
 void Elaborated::lower_edge(const Edge& e) {
@@ -110,12 +134,9 @@ void Elaborated::lower_edge(const Edge& e) {
     case Primitive::kSrsChain: {
       if (pp.style == TimingStyle::kAsync) {
         // Async-async, zero latency: one shared handshake channel.
-        HandshakePort hs;
-        hs.req = &nl_.wire(e.name + ".req");
-        hs.ack = &nl_.wire(e.name + ".ack");
-        hs.data = &nl_.word(e.name + ".data");
         parts.head.style = parts.tail.style = EndpointStyle::kHandshake;
-        parts.head.hs = parts.tail.hs = hs;
+        parts.head.hs = parts.tail.hs = hs_wires(e.name);
+        parts.tail.push = true;
         record(Primitive::kWire, e.name);
         break;
       }
@@ -132,19 +153,15 @@ void Elaborated::lower_edge(const Edge& e) {
     }
 
     case Primitive::kMicropipeline: {
-      HandshakePort in, out;
-      in.req = &nl_.wire(e.name + ".in.req");
-      in.ack = &nl_.wire(e.name + ".in.ack");
-      in.data = &nl_.word(e.name + ".in.data");
-      out.req = &nl_.wire(e.name + ".out.req");
-      out.ack = &nl_.wire(e.name + ".out.ack");
-      out.data = &nl_.word(e.name + ".out.data");
+      const HandshakePort in = hs_wires(e.name + ".in");
+      const HandshakePort out = hs_wires(e.name + ".out");
       parts.pipe = &nl_.add<lip::Micropipeline>(
           sim_, e.name, latency, *in.req, *in.ack, *in.data, *out.req,
           *out.ack, *out.data, cfg.dm);
       parts.head.style = parts.tail.style = EndpointStyle::kHandshake;
       parts.head.hs = in;
       parts.tail.hs = out;
+      parts.tail.push = true;
       record(Primitive::kMicropipeline, e.name);
       break;
     }
@@ -162,20 +179,10 @@ void Elaborated::lower_edge(const Edge& e) {
                          &parts.mc_link->stop_in()};
         parts.head.traced = parts.mc_link->first_traced_instance();
         parts.tail.traced = parts.mc_link->last_traced_instance();
+        record(Primitive::kMixedClockFifo, e.name);
       } else {
-        parts.mc_fifo = &nl_.add<fifo::MixedClockFifo>(
-            sim_, e.name, cfg, clocks_[pp.domain]->out(),
-            clocks_[pc.domain]->out());
-        parts.head.style = EndpointStyle::kFifoPut;
-        parts.head.fput = {&parts.mc_fifo->req_put(), &parts.mc_fifo->data_put(),
-                           &parts.mc_fifo->full(), &parts.mc_fifo->en_put()};
-        parts.tail.style = EndpointStyle::kFifoGet;
-        parts.tail.fget = {&parts.mc_fifo->req_get(), &parts.mc_fifo->data_get(),
-                           &parts.mc_fifo->valid_get(), &parts.mc_fifo->empty(),
-                           &parts.mc_fifo->stop_in()};
-        parts.head.traced = parts.tail.traced = e.name;
+        parts.mc_fifo = &lower_fifo<fifo::MixedClockFifo>(e, e.name, cfg);
       }
-      record(Primitive::kMixedClockFifo, e.name);
       break;
     }
 
@@ -192,19 +199,10 @@ void Elaborated::lower_edge(const Edge& e) {
                          &parts.as_link->stop_in()};
         parts.head.traced = parts.as_link->first_traced_instance();
         parts.tail.traced = parts.as_link->last_traced_instance();
+        record(Primitive::kAsyncSyncFifo, e.name);
       } else {
-        parts.as_fifo = &nl_.add<fifo::AsyncSyncFifo>(
-            sim_, e.name, cfg, clocks_[pc.domain]->out());
-        parts.head.style = EndpointStyle::kHandshake;
-        parts.head.hs = {&parts.as_fifo->put_req(), &parts.as_fifo->put_ack(),
-                         &parts.as_fifo->put_data()};
-        parts.tail.style = EndpointStyle::kFifoGet;
-        parts.tail.fget = {&parts.as_fifo->req_get(), &parts.as_fifo->data_get(),
-                           &parts.as_fifo->valid_get(), &parts.as_fifo->empty(),
-                           &parts.as_fifo->stop_in()};
-        parts.head.traced = parts.tail.traced = e.name;
+        parts.as_fifo = &lower_fifo<fifo::AsyncSyncFifo>(e, e.name, cfg);
       }
-      record(Primitive::kAsyncSyncFifo, e.name);
       break;
     }
 
@@ -214,21 +212,23 @@ void Elaborated::lower_edge(const Edge& e) {
         // reaches the sync-async FIFO through valid->req_put / full->stop
         // glue, the FIFO itself running in on-demand mode. Back-pressure is
         // still lossless -- full gates the producer through the stop wire.
-        parts.head.li = li_wires(e.name + ".in");
-        LiPort mid = parts.head.li;
+        const LiPort in = li_wires(e.name + ".in");
+        LiPort mid = in;
         if (e.opt.latency_left > 0) {
           mid = li_wires(e.name + ".m");
           parts.chain = &nl_.add<lip::SyncRelayChain>(
               sim_, e.name + ".left", clocks_[pp.domain]->out(),
-              e.opt.latency_left, cfg.dm, *parts.head.li.data,
-              *parts.head.li.valid, *parts.head.li.stop, *mid.data, *mid.valid,
-              *mid.stop);
-          parts.head.traced = parts.chain->first_station_instance();
+              e.opt.latency_left, cfg.dm, *in.data, *in.valid, *in.stop,
+              *mid.data, *mid.valid, *mid.stop);
         }
         fifo::FifoConfig fc = cfg;
         fc.controller = fifo::ControllerKind::kFifo;
-        parts.sa_fifo = &nl_.add<fifo::SyncAsyncFifo>(
-            sim_, e.name + ".fifo", fc, clocks_[pp.domain]->out());
+        parts.sa_fifo =
+            &lower_fifo<fifo::SyncAsyncFifo>(e, e.name + ".fifo", fc);
+        parts.head = {.li = in,
+                      .traced = parts.chain != nullptr
+                                    ? parts.chain->first_station_instance()
+                                    : e.name + ".fifo"};
         gates::gate_into(nl_, e.name + ".vreq", gates::GateOp::kBuf,
                          {mid.valid}, parts.sa_fifo->req_put(), cfg.dm.gate(1));
         nl_.add<gates::WordBuf>(sim_, nl_.qualified(e.name + ".dwire"),
@@ -236,36 +236,15 @@ void Elaborated::lower_edge(const Edge& e) {
                                 cfg.dm.gate(1));
         gates::gate_into(nl_, e.name + ".swire", gates::GateOp::kBuf,
                          {&parts.sa_fifo->full()}, *mid.stop, cfg.dm.gate(1));
-        if (parts.head.traced.empty()) parts.head.traced = e.name + ".fifo";
-        parts.tail.traced = e.name + ".fifo";
-        record(Primitive::kSyncAsyncFifo, e.name + ".fifo");
       } else {
-        parts.sa_fifo = &nl_.add<fifo::SyncAsyncFifo>(
-            sim_, e.name, cfg, clocks_[pp.domain]->out());
-        parts.head.style = EndpointStyle::kFifoPut;
-        parts.head.fput = {&parts.sa_fifo->req_put(), &parts.sa_fifo->data_put(),
-                           &parts.sa_fifo->full(), &parts.sa_fifo->en_put()};
-        parts.head.traced = parts.tail.traced = e.name;
-        record(Primitive::kSyncAsyncFifo, e.name);
+        parts.sa_fifo = &lower_fifo<fifo::SyncAsyncFifo>(e, e.name, cfg);
       }
-      parts.tail.style = EndpointStyle::kHandshake;
-      parts.tail.hs = {&parts.sa_fifo->get_req(), &parts.sa_fifo->get_ack(),
-                       &parts.sa_fifo->get_data()};
       break;
     }
 
-    case Primitive::kAsyncAsyncFifo: {
-      parts.aa_fifo = &nl_.add<fifo::AsyncAsyncFifo>(sim_, e.name, cfg);
-      parts.head.style = EndpointStyle::kHandshake;
-      parts.head.hs = {&parts.aa_fifo->put_req(), &parts.aa_fifo->put_ack(),
-                       &parts.aa_fifo->put_data()};
-      parts.tail.style = EndpointStyle::kHandshake;
-      parts.tail.hs = {&parts.aa_fifo->get_req(), &parts.aa_fifo->get_ack(),
-                       &parts.aa_fifo->get_data()};
-      parts.head.traced = parts.tail.traced = e.name;
-      record(Primitive::kAsyncAsyncFifo, e.name);
+    case Primitive::kAsyncAsyncFifo:
+      parts.aa_fifo = &lower_fifo<fifo::AsyncAsyncFifo>(e, e.name, cfg);
       break;
-    }
 
     case Primitive::kAuto:
       throw ConfigError("builder: edge '" + e.name +
@@ -281,8 +260,7 @@ void Elaborated::lower_edge(const Edge& e) {
         sim_, e.name + ".ser", clocks_[pp.domain]->out(), pp.width / lw, lw,
         *wide.data, *wide.valid, *wide.stop, *parts.head.li.data,
         *parts.head.li.valid, *parts.head.li.stop, cfg.dm);
-    parts.head = Endpoint{};
-    parts.head.li = wide;
+    parts.head = {.li = wide};
     record(Primitive::kWire, e.name + ".ser");
   }
   if (pc.width != lw) {
@@ -291,8 +269,7 @@ void Elaborated::lower_edge(const Edge& e) {
         sim_, e.name + ".deser", clocks_[pc.domain]->out(), pc.width / lw, lw,
         *parts.tail.li.data, *parts.tail.li.valid, *parts.tail.li.stop,
         *wide.data, *wide.valid, *wide.stop, cfg.dm);
-    parts.tail = Endpoint{};
-    parts.tail.li = wide;
+    parts.tail = {.li = wide};
     record(Primitive::kWire, e.name + ".deser");
   }
 }
@@ -313,22 +290,10 @@ void Elaborated::lower_node(const Node& n) {
             sim_, n.name, clocks_[p.domain]->out(), *ep.li.data, *ep.li.valid,
             *ep.li.stop, cfg.dm, n.source.rate, n.source.flow, n.source.dests,
             p.width);
-      } else if (p.style == TimingStyle::kAsync) {
-        parts.async_put = &nl_.add<bfm::AsyncPutDriver>(
-            sim_, n.name, *ep.hs.req, *ep.hs.ack, *ep.hs.data, cfg.dm,
-            n.source.gap, n.source.mask, parts.sb);
-      } else if (ep.style == EndpointStyle::kFifoPut) {
-        parts.sync_put = &nl_.add<bfm::SyncPutDriver>(
-            sim_, n.name, clocks_[p.domain]->out(), *ep.fput.req_put,
-            *ep.fput.data_put, *ep.fput.full, cfg.dm,
-            bfm::RateConfig{n.source.rate, 1}, n.source.mask);
-        parts.put_mon = &nl_.add<bfm::PutMonitor>(
-            sim_, clocks_[p.domain]->out(), *ep.fput.en_put, *ep.fput.req_put,
-            *ep.fput.data_put, *parts.sb);
       } else {
-        parts.rs_source = &nl_.add<bfm::RsSource>(
-            sim_, n.name, clocks_[p.domain]->out(), *ep.li.data, *ep.li.valid,
-            *ep.li.stop, cfg.dm, n.source.rate, n.source.mask, *parts.sb);
+        parts.put_end = &nl_.add<bfm::PutEnd>(
+            sim_, n.name, port_clock(p), ep, cfg.dm, n.source.rate,
+            n.source.gap, n.source.mask, *parts.sb);
       }
       break;
     }
@@ -353,32 +318,9 @@ void Elaborated::lower_node(const Node& n) {
         parts.sb = &nl_.add<bfm::Scoreboard>(sim_, n.name + ".sb");
         parts.check_sb = parts.sb;
       }
-      if (p.style == TimingStyle::kAsync) {
-        // A micropipeline output or bare bundled-data channel is push-style
-        // (the producer drives req); FIFO get-ports are pull-style (the
-        // consumer drives req). The BFM must match or the channel deadlocks.
-        const Primitive prim = edges_[e.id].primitive;
-        if (prim == Primitive::kMicropipeline || prim == Primitive::kWire) {
-          parts.async_ack = &nl_.add<bfm::AsyncAckSink>(
-              sim_, n.name, *ep.hs.req, *ep.hs.ack, *ep.hs.data, cfg.dm,
-              n.sink.gap, parts.check_sb);
-        } else {
-          parts.async_get = &nl_.add<bfm::AsyncGetDriver>(
-              sim_, n.name, *ep.hs.req, *ep.hs.ack, *ep.hs.data, cfg.dm,
-              n.sink.gap, parts.check_sb);
-        }
-      } else if (ep.style == EndpointStyle::kFifoGet) {
-        parts.sync_get = &nl_.add<bfm::SyncGetDriver>(
-            sim_, n.name, clocks_[p.domain]->out(), *ep.fget.req_get, cfg.dm,
-            bfm::RateConfig{1.0 - n.sink.stall_rate, 0});
-        parts.get_mon = &nl_.add<bfm::GetMonitor>(
-            sim_, clocks_[p.domain]->out(), *ep.fget.valid_get,
-            *ep.fget.data_get, *parts.check_sb);
-      } else {
-        parts.rs_sink = &nl_.add<bfm::RsSink>(
-            sim_, n.name, clocks_[p.domain]->out(), *ep.li.data, *ep.li.valid,
-            *ep.li.stop, cfg.dm, n.sink.stall_rate, *parts.check_sb);
-      }
+      parts.get_end = &nl_.add<bfm::GetEnd>(
+          sim_, n.name, port_clock(p), ep, cfg.dm, n.sink.stall_rate,
+          n.sink.gap, *parts.check_sb);
       break;
     }
 
@@ -484,41 +426,36 @@ const NodeParts& Elaborated::node(NodeId n) const {
   return nodes_[n];
 }
 
-LiPort Elaborated::li_port(NodeId n, const std::string& port) const {
+const Endpoint& Elaborated::port_endpoint(NodeId n, const std::string& port,
+                                          EndpointStyle style,
+                                          const char* what) const {
   const Endpoint& ep = endpoint_of(n, design_.port_index(n, port));
-  if (ep.style != EndpointStyle::kLi) {
+  if (ep.style != style) {
     throw ConfigError("builder: port '" + design_.node(n).name + "." + port +
-                      "' is not a latency-insensitive endpoint");
+                      "' is not " + what);
   }
-  return ep.li;
+  return ep;
+}
+
+LiPort Elaborated::li_port(NodeId n, const std::string& port) const {
+  return port_endpoint(n, port, EndpointStyle::kLi,
+                       "a latency-insensitive endpoint").li;
 }
 
 HandshakePort Elaborated::handshake_port(NodeId n,
                                          const std::string& port) const {
-  const Endpoint& ep = endpoint_of(n, design_.port_index(n, port));
-  if (ep.style != EndpointStyle::kHandshake) {
-    throw ConfigError("builder: port '" + design_.node(n).name + "." + port +
-                      "' is not a 4-phase handshake endpoint");
-  }
-  return ep.hs;
+  return port_endpoint(n, port, EndpointStyle::kHandshake,
+                       "a 4-phase handshake endpoint").hs;
 }
 
 SyncFifoPut Elaborated::fifo_put(NodeId n, const std::string& port) const {
-  const Endpoint& ep = endpoint_of(n, design_.port_index(n, port));
-  if (ep.style != EndpointStyle::kFifoPut) {
-    throw ConfigError("builder: port '" + design_.node(n).name + "." + port +
-                      "' is not an on-demand FIFO put endpoint");
-  }
-  return ep.fput;
+  return port_endpoint(n, port, EndpointStyle::kFifoPut,
+                       "an on-demand FIFO put endpoint").fput;
 }
 
 SyncFifoGet Elaborated::fifo_get(NodeId n, const std::string& port) const {
-  const Endpoint& ep = endpoint_of(n, design_.port_index(n, port));
-  if (ep.style != EndpointStyle::kFifoGet) {
-    throw ConfigError("builder: port '" + design_.node(n).name + "." + port +
-                      "' is not an on-demand FIFO get endpoint");
-  }
-  return ep.fget;
+  return port_endpoint(n, port, EndpointStyle::kFifoGet,
+                       "an on-demand FIFO get endpoint").fget;
 }
 
 bfm::Scoreboard& Elaborated::scoreboard(NodeId n) const {
@@ -535,20 +472,13 @@ bfm::Scoreboard& Elaborated::scoreboard(NodeId n) const {
 std::uint64_t Elaborated::source_sent(NodeId n) const {
   const NodeParts& p = node(n);
   if (p.tagged_source != nullptr) return p.tagged_source->sent();
-  if (p.rs_source != nullptr) return p.rs_source->sent_valid();
-  if (p.put_mon != nullptr) return p.put_mon->enqueued();
-  if (p.async_put != nullptr) return p.async_put->completed();
-  return 0;
+  return p.put_end != nullptr ? p.put_end->sent() : 0;
 }
 
 std::uint64_t Elaborated::sink_received(NodeId n) const {
   const NodeParts& p = node(n);
   if (p.tagged_sink != nullptr) return p.tagged_sink->received();
-  if (p.rs_sink != nullptr) return p.rs_sink->received_valid();
-  if (p.get_mon != nullptr) return p.get_mon->dequeued();
-  if (p.async_get != nullptr) return p.async_get->completed();
-  if (p.async_ack != nullptr) return p.async_ack->completed();
-  return 0;
+  return p.get_end != nullptr ? p.get_end->delivered() : 0;
 }
 
 std::uint64_t Elaborated::total_sent() const {

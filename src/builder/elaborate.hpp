@@ -7,8 +7,10 @@
 //   1. one sync::Clock per declared domain, in declaration order;
 //   2. every edge's mixed-timing machinery, in edge declaration order --
 //      the CDC primitive first, then relay chains, then gearboxes;
-//   3. every node's generated components (traffic drivers, repeater
-//      buffers, routers, bus fabrics), in node declaration order.
+//   3. every node's generated components (a source's bfm::PutEnd or a
+//      sink's bfm::GetEnd from the endpoint table in bfm/ends.hpp, tagged
+//      traffic, repeater buffers, routers, bus fabrics), in node
+//      declaration order.
 //
 // Elaboration itself never draws from the simulation RNG and schedules no
 // events of its own, so an elaborated design is bit-identical to the same
@@ -23,7 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "bfm/bfm.hpp"
+#include "bfm/ends.hpp"
+#include "bfm/scoreboard.hpp"
 #include "builder/bus.hpp"
 #include "builder/design.hpp"
 #include "builder/gearbox.hpp"
@@ -38,50 +41,14 @@
 
 namespace mts::builder {
 
-/// Latency-insensitive endpoint: {data, valid} forward, stop backward.
-struct LiPort {
-  sim::Word* data = nullptr;
-  sim::Wire* valid = nullptr;
-  sim::Wire* stop = nullptr;
-};
-
-/// 4-phase bundled-data endpoint (put- or get-flavoured).
-struct HandshakePort {
-  sim::Wire* req = nullptr;
-  sim::Wire* ack = nullptr;
-  sim::Word* data = nullptr;
-};
-
-/// On-demand synchronous FIFO put interface.
-struct SyncFifoPut {
-  sim::Wire* req_put = nullptr;
-  sim::Word* data_put = nullptr;
-  sim::Wire* full = nullptr;
-  sim::Wire* en_put = nullptr;
-};
-
-/// On-demand synchronous FIFO get interface.
-struct SyncFifoGet {
-  sim::Wire* req_get = nullptr;
-  sim::Word* data_get = nullptr;
-  sim::Wire* valid_get = nullptr;
-  sim::Wire* empty = nullptr;
-  sim::Wire* stop_in = nullptr;
-};
-
-enum class EndpointStyle { kLi, kHandshake, kFifoPut, kFifoGet };
-
-/// One side of an elaborated edge: the signals a node attached there sees.
-struct Endpoint {
-  EndpointStyle style = EndpointStyle::kLi;
-  LiPort li{};
-  HandshakePort hs{};
-  SyncFifoPut fput{};
-  SyncFifoGet fget{};
-  /// Boundary trace-stream instance for cross-edge linking ("" when the
-  /// boundary component is untraced, e.g. behind a gearbox).
-  std::string traced;
-};
+// The port bundles and endpoints live with the endpoint table in bfm; the
+// builder keeps their names.
+using bfm::Endpoint;
+using bfm::EndpointStyle;
+using bfm::HandshakePort;
+using bfm::LiPort;
+using bfm::SyncFifoGet;
+using bfm::SyncFifoPut;
 
 /// One primitive the elaborator inserted on an edge.
 struct InsertedRecord {
@@ -109,19 +76,14 @@ struct EdgeParts {
 };
 
 /// The generated components of one node; null for kinds that do not apply.
+/// An untagged source or sink is one end of the endpoint table
+/// (bfm/ends.hpp), built on the endpoint its edge presents.
 struct NodeParts {
   bfm::Scoreboard* sb = nullptr;        ///< owned (sources; external-fed sinks)
   bfm::Scoreboard* check_sb = nullptr;  ///< what a generated sink checks
-  bfm::RsSource* rs_source = nullptr;
-  bfm::SyncPutDriver* sync_put = nullptr;
-  bfm::PutMonitor* put_mon = nullptr;
-  bfm::AsyncPutDriver* async_put = nullptr;
+  bfm::PutEnd* put_end = nullptr;
   TaggedSource* tagged_source = nullptr;
-  bfm::RsSink* rs_sink = nullptr;
-  bfm::SyncGetDriver* sync_get = nullptr;
-  bfm::GetMonitor* get_mon = nullptr;
-  bfm::AsyncGetDriver* async_get = nullptr;
-  bfm::AsyncAckSink* async_ack = nullptr;  ///< push-style async endpoints
+  bfm::GetEnd* get_end = nullptr;
   TaggedSink* tagged_sink = nullptr;
   MeshRouter* router = nullptr;
   BusFabric* bus = nullptr;
@@ -182,9 +144,20 @@ class Elaborated {
 
  private:
   void lower_edge(const Edge& e);
+  /// Builds a FIFO named `name` on edge `e` and sets the edge's endpoints
+  /// from it (metrics::put_endpoint / get_endpoint).
+  template <class Fifo>
+  Fifo& lower_fifo(const Edge& e, const std::string& name,
+                   const fifo::FifoConfig& cfg);
   void lower_node(const Node& n);
+  /// The clock of a synchronous port; nullptr for an asynchronous one.
+  sim::Wire* port_clock(const PortDecl& p) const;
   LiPort li_wires(const std::string& base);
+  HandshakePort hs_wires(const std::string& base);
   const Endpoint& endpoint_of(NodeId n, std::size_t port_idx) const;
+  /// endpoint_of() by port name; ConfigError unless its style is `style`.
+  const Endpoint& port_endpoint(NodeId n, const std::string& port,
+                                EndpointStyle style, const char* what) const;
   /// Generated source feeding `sink` through repeaters only, or kNoNode.
   static constexpr NodeId kNoNode = static_cast<NodeId>(-1);
   NodeId upstream_source(NodeId sink) const;

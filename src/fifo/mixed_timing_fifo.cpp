@@ -6,15 +6,20 @@
 namespace mts::fifo {
 
 template <Timing Put, Timing Get>
-Fifo<Put, Get>::Fifo(sim::Simulation& sim, const std::string& name,
-                     const FifoConfig& cfg, const Clocks& clk)
-    : cfg_(cfg), nl_(sim, name) {
-  cfg_.validate();
-  if (!get_sync && cfg_.controller != ControllerKind::kFifo) {
+void Fifo<Put, Get>::check(const FifoConfig& cfg) {
+  cfg.validate();
+  if (!get_sync && cfg.controller != ControllerKind::kFifo) {
     throw ConfigError("Fifo: an asynchronous get side has no relay-station "
                       "variant (relay chains terminate in a synchronous "
                       "domain; asynchronous chains use lip::Micropipeline)");
   }
+}
+
+template <Timing Put, Timing Get>
+Fifo<Put, Get>::Fifo(sim::Simulation& sim, const std::string& name,
+                     const FifoConfig& cfg, const Clocks& clk)
+    : cfg_(cfg), nl_(sim, name) {
+  check(cfg_);
   const gates::DelayModel& dm = cfg_.dm;
   sim::Wire* clk_put = nullptr;
   sim::Wire* clk_get = nullptr;

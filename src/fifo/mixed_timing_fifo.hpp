@@ -77,9 +77,17 @@ class Fifo {
   Fifo(sim::Simulation& sim, const std::string& name, const FifoConfig& cfg,
        Clk&... clk)
       : Fifo(sim, name, cfg, Clocks{&clk...}) {}
+  /// Any design from one clock pointer per side (nullptr if asynchronous).
+  Fifo(sim::Simulation& sim, const std::string& name, const FifoConfig& cfg,
+       sim::Wire* clk_put, sim::Wire* clk_get)
+      : Fifo(sim, name, cfg, clocks_of(clk_put, clk_get)) {}
 
   Fifo(const Fifo&) = delete;
   Fifo& operator=(const Fifo&) = delete;
+
+  /// Throws ConfigError unless `cfg` builds this design; the constructor
+  /// runs it before it builds anything.
+  static void check(const FifoConfig& cfg);
 
   // --- synchronous put interface (CLK_put) ---
   sim::Wire& req_put() noexcept requires put_sync { return *put_req_; }
@@ -166,6 +174,11 @@ class Fifo {
 
   Fifo(sim::Simulation& sim, const std::string& name, const FifoConfig& cfg,
        const Clocks& clk);
+  static Clocks clocks_of(sim::Wire* put, sim::Wire* get) {
+    if constexpr (put_sync && get_sync) return {put, get};
+    else if constexpr (put_sync || get_sync) return {put_sync ? put : get};
+    else return {};
+  }
 
   FifoConfig cfg_;
   gates::Netlist nl_;

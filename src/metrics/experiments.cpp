@@ -113,8 +113,8 @@ ThroughputRow throughput_run(const fifo::FifoConfig& cfg, unsigned cycles) {
     const sim::Time warmup = clk > 0 ? settle + 60 * clk : 100'000;
     sim.run_until(warmup);
     set_timing_checks(tb.dut, true);
-    const std::uint64_t puts0 = tb.async_put ? tb.async_put->completed() : 0;
-    const std::uint64_t gets0 = tb.async_get ? tb.async_get->completed() : 0;
+    const std::uint64_t puts0 = tb.put_end.sent();
+    const std::uint64_t gets0 = tb.delivered();
     const sim::Time window =
         static_cast<sim::Time>(cycles) * (clk > 0 ? clk : kHandshakeSlot);
     sim.run_until(warmup + window);
@@ -124,8 +124,8 @@ ThroughputRow throughput_run(const fifo::FifoConfig& cfg, unsigned cycles) {
       busy = busy && ops > cycles / 8;
       return static_cast<double>(ops) * 1e6 / static_cast<double>(window);
     };
-    if (tb.async_put) row.put = mops(tb.async_put->completed() - puts0);
-    if (tb.async_get) row.get = mops(tb.async_get->completed() - gets0);
+    if (!Fifo::put_sync) row.put = mops(tb.put_end.sent() - puts0);
+    if (!Fifo::get_sync) row.get = mops(tb.delivered() - gets0);
     row.validated = timing_violations(tb.dut) == 0 &&
                     tb.dut.overflow_count() == 0 &&
                     tb.dut.underflow_count() == 0 && tb.sb.errors() == 0 &&
@@ -168,7 +168,7 @@ LatencyRow latency_run(const fifo::FifoConfig& cfg, unsigned phases) {
       end = edge + 60 * std::max(put_p, get_p);
     } else {
       t_start = Fifo::get_sync ? base + 12 * get_p : 50'000;
-      sim.sched().at(t_start, [&] { tb.async_put->issue_one(); });
+      sim.sched().at(t_start, [&] { tb.put_end.async_put->issue_one(); });
       end = t_start + (Fifo::get_sync ? 60 * get_p : 500'000);
     }
 

@@ -1,10 +1,20 @@
 #include "metrics/testbench.hpp"
 
-#include "sim/error.hpp"
-
 namespace mts::metrics {
 
 namespace {
+
+/// Raises every ConfigError the testbench can raise before its first part
+/// exists: the clocks and the FIFO schedule events as they are built.
+template <class Fifo>
+const Side& checked(const fifo::FifoConfig& cfg, const Side& put,
+                    const Side& get) {
+  Fifo::check(cfg);
+  bfm::GetEnd::check(Fifo::get_sync ? bfm::EndpointStyle::kFifoGet
+                                    : bfm::EndpointStyle::kHandshake,
+                     get.gap);
+  return put;
+}
 
 std::optional<sync::Clock> make_clock(sim::Simulation& sim, bool present,
                                       const char* name, const Side& side) {
@@ -14,19 +24,8 @@ std::optional<sync::Clock> make_clock(sim::Simulation& sim, bool present,
       sync::ClockConfig{side.period, side.phase, 0.5, 0});
 }
 
-template <class Fifo>
-Fifo make_fifo(sim::Simulation& sim, const fifo::FifoConfig& cfg,
-               std::optional<sync::Clock>& clk_put,
-               std::optional<sync::Clock>& clk_get) {
-  if constexpr (Fifo::put_sync && Fifo::get_sync) {
-    return Fifo(sim, "dut", cfg, clk_put->out(), clk_get->out());
-  } else if constexpr (Fifo::put_sync) {
-    return Fifo(sim, "dut", cfg, clk_put->out());
-  } else if constexpr (Fifo::get_sync) {
-    return Fifo(sim, "dut", cfg, clk_get->out());
-  } else {
-    return Fifo(sim, "dut", cfg);
-  }
+sim::Wire* out_of(std::optional<sync::Clock>& clk) {
+  return clk ? &clk->out() : nullptr;
 }
 
 }  // namespace
@@ -34,70 +33,15 @@ Fifo make_fifo(sim::Simulation& sim, const fifo::FifoConfig& cfg,
 template <class Fifo>
 Testbench<Fifo>::Testbench(sim::Simulation& sim, const fifo::FifoConfig& cfg,
                            const Side& put, const Side& get)
-    : clk_put(make_clock(sim, Fifo::put_sync, "clk_put", put)),
+    : clk_put(make_clock(sim, Fifo::put_sync, "clk_put",
+                         checked<Fifo>(cfg, put, get))),
       clk_get(make_clock(sim, Fifo::get_sync, "clk_get", get)),
-      dut(make_fifo<Fifo>(sim, cfg, clk_put, clk_get)),
-      sb(sim, "sb") {
-  const std::uint64_t mask = width_mask(cfg.width);
-  const bool relay = cfg.controller == fifo::ControllerKind::kRelayStation;
-
-  if constexpr (Fifo::put_sync) {
-    const bool manual = put.gap == kManual;
-    if (relay && !manual) {
-      rs_source.emplace(sim, "src", clk_put->out(), dut.data_put(),
-                        dut.req_put(), dut.full(), cfg.dm, put.rate, mask,
-                        sb);
-    } else {
-      put_mon.emplace(sim, clk_put->out(), dut.en_put(), dut.req_put(),
-                      dut.data_put(), sb);
-      if (!manual) {
-        put_drv.emplace(sim, "put", clk_put->out(), dut.req_put(),
-                        dut.data_put(), dut.full(), cfg.dm,
-                        bfm::RateConfig{put.rate, 1}, mask);
-      }
-    }
-  } else {
-    async_put.emplace(sim, "put", dut.put_req(), dut.put_ack(),
-                      dut.put_data(), cfg.dm, put.gap, mask, &sb);
-  }
-
-  if constexpr (Fifo::get_sync) {
-    const bool manual = get.gap == kManual;
-    if (relay && !manual) {
-      rs_sink.emplace(sim, "sink", clk_get->out(), dut.data_get(),
-                      dut.valid_get(), dut.stop_in(), cfg.dm, 1.0 - get.rate,
-                      sb);
-    } else {
-      get_mon.emplace(sim, clk_get->out(), dut.valid_get(), dut.data_get(),
-                      sb);
-      if (!manual) {
-        get_drv.emplace(sim, "get", clk_get->out(), dut.req_get(), cfg.dm,
-                        bfm::RateConfig{get.rate, 1});
-      }
-    }
-  } else {
-    if (get.gap == kManual) {
-      throw ConfigError("Testbench: an asynchronous get side has no manual "
-                        "mode");
-    }
-    async_get.emplace(sim, "get", dut.get_req(), dut.get_ack(),
-                      dut.get_data(), cfg.dm, get.gap, &sb);
-  }
-}
-
-template <class Fifo>
-std::uint64_t Testbench<Fifo>::delivered() const noexcept {
-  if (get_mon) return get_mon->dequeued();
-  if (rs_sink) return rs_sink->received_valid();
-  return async_get ? async_get->completed() : 0;
-}
-
-template <class Fifo>
-sim::Time Testbench<Fifo>::last_delivery() const noexcept {
-  if (get_mon) return get_mon->last_dequeue_time();
-  if (rs_sink) return rs_sink->last_receive_time();
-  return async_get ? async_get->last_ack_time() : 0;
-}
+      dut(sim, "dut", cfg, out_of(clk_put), out_of(clk_get)),
+      sb(sim, "sb"),
+      put_end(sim, "put", out_of(clk_put), put_endpoint(dut), cfg.dm,
+              put.rate, put.gap, width_mask(cfg.width), sb),
+      get_end(sim, "get", out_of(clk_get), get_endpoint(dut), cfg.dm,
+              1.0 - get.rate, get.gap, sb) {}
 
 template class Testbench<fifo::MixedClockFifo>;
 template class Testbench<fifo::AsyncSyncFifo>;

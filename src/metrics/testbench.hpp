@@ -1,30 +1,22 @@
 // One FIFO testbench for every design of the interface matrix (Fig. 1).
 //
-// The testbench side mirrors fifo::CellArray's device side: its parts are
-// chosen by the design's put side x get side and by cfg.controller.
-//
-//   side        kind   controller  stimulus
-//   put         sync   FIFO        PutMonitor + SyncPutDriver
-//   put         sync   RS          RsSource
-//   put         async  either      AsyncPutDriver
-//   get         sync   FIFO        GetMonitor + SyncGetDriver
-//   get         sync   RS          RsSink
-//   get         async  either      AsyncGetDriver
-//
-// Side::gap == kManual leaves a side's requests to the caller: a
-// synchronous side then gets only its monitor, an asynchronous put side a
-// manual AsyncPutDriver (issue_one()).
+// The testbench side mirrors fifo::CellArray's device side: one put end and
+// one get end (bfm/ends.hpp, the endpoint table) on the endpoints the FIFO
+// presents (put_endpoint() / get_endpoint() below, which the builder's
+// FIFO edges use too). Side::gap == kManual leaves a side's requests to the
+// caller, as bfm::kManual does for an end.
 //
 // Construction only, in one fixed order: a sync::Clock per synchronous
-// side (put, then get), the FIFO, the scoreboard, the put-side stimulus,
-// the get-side stimulus. The caller runs the simulation and enables the
-// FIFO's timing domains.
+// side (put, then get), the FIFO, the scoreboard, the put end, the get end.
+// Every ConfigError is raised before the first clock is built. The caller
+// runs the simulation and enables the FIFO's timing domains.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "bfm/bfm.hpp"
+#include "bfm/ends.hpp"
+#include "bfm/scoreboard.hpp"
 #include "fifo/fifo.hpp"
 #include "sim/simulation.hpp"
 #include "sync/clock.hpp"
@@ -41,18 +33,53 @@ struct Side {
 };
 
 /// Side::gap value: the caller drives this side's requests itself.
-inline constexpr sim::Time kManual = bfm::AsyncPutDriver::kManual;
+inline constexpr sim::Time kManual = bfm::kManual;
 
 /// The data bits of a `width`-bit FIFO.
 inline std::uint64_t width_mask(unsigned width) {
   return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
 }
 
+/// The endpoints a FIFO presents to its ends: a synchronous side is an
+/// on-demand FIFO port, or in relay-station mode a latency-insensitive port
+/// over the same wires; an asynchronous side is a handshake, pulled on the
+/// get side.
+template <class Fifo>
+bfm::Endpoint put_endpoint(Fifo& f) {
+  using enum bfm::EndpointStyle;
+  if constexpr (Fifo::put_sync) {
+    const bool relay =
+        f.config().controller == fifo::ControllerKind::kRelayStation;
+    return {.style = relay ? kLi : kFifoPut,
+            .li = {&f.data_put(), &f.req_put(), &f.full()},
+            .fput = {&f.req_put(), &f.data_put(), &f.full(), &f.en_put()}};
+  } else {
+    return {.style = kHandshake,
+            .hs = {&f.put_req(), &f.put_ack(), &f.put_data()}};
+  }
+}
+
+template <class Fifo>
+bfm::Endpoint get_endpoint(Fifo& f) {
+  using enum bfm::EndpointStyle;
+  if constexpr (Fifo::get_sync) {
+    const bool relay =
+        f.config().controller == fifo::ControllerKind::kRelayStation;
+    return {.style = relay ? kLi : kFifoGet,
+            .li = {&f.data_get(), &f.valid_get(), &f.stop_in()},
+            .fget = {&f.req_get(), &f.data_get(), &f.valid_get(), &f.empty(),
+                     &f.stop_in()}};
+  } else {
+    return {.style = kHandshake,
+            .hs = {&f.get_req(), &f.get_ack(), &f.get_data()}};
+  }
+}
+
 template <class Fifo>
 class Testbench {
  public:
-  /// Throws ConfigError for a manual asynchronous get side (the
-  /// AsyncGetDriver has no manual mode).
+  /// Throws ConfigError, before building anything, for a cfg the FIFO
+  /// rejects and for a manual asynchronous get side.
   Testbench(sim::Simulation& sim, const fifo::FifoConfig& cfg,
             const Side& put, const Side& get);
 
@@ -60,21 +87,17 @@ class Testbench {
   Testbench& operator=(const Testbench&) = delete;
 
   /// Items the get side has taken out, and the time it took the last one.
-  std::uint64_t delivered() const noexcept;
-  sim::Time last_delivery() const noexcept;
+  std::uint64_t delivered() const noexcept { return get_end.delivered(); }
+  sim::Time last_delivery() const noexcept {
+    return get_end.last_delivery();
+  }
 
   std::optional<sync::Clock> clk_put;
   std::optional<sync::Clock> clk_get;
   Fifo dut;
   bfm::Scoreboard sb;
-  std::optional<bfm::PutMonitor> put_mon;
-  std::optional<bfm::SyncPutDriver> put_drv;
-  std::optional<bfm::RsSource> rs_source;
-  std::optional<bfm::AsyncPutDriver> async_put;
-  std::optional<bfm::GetMonitor> get_mon;
-  std::optional<bfm::SyncGetDriver> get_drv;
-  std::optional<bfm::RsSink> rs_sink;
-  std::optional<bfm::AsyncGetDriver> async_get;
+  bfm::PutEnd put_end;
+  bfm::GetEnd get_end;
 };
 
 extern template class Testbench<fifo::MixedClockFifo>;

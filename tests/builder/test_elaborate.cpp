@@ -134,11 +134,15 @@ TEST(BuilderElaborate, AsyncEdgeBecomesMicropipeline) {
 
   ASSERT_NE(elab->edge(e).pipe, nullptr);
   EXPECT_EQ(elab->edge(e).primitive, Primitive::kMicropipeline);
-  ASSERT_NE(elab->node(src).async_put, nullptr);
+  ASSERT_NE(elab->node(src).put_end, nullptr);
+  ASSERT_NE(elab->node(snk).get_end, nullptr);
   // A micropipeline output is push-style: the sink answers the pipeline's
-  // req rather than pulling like a FIFO get-port consumer.
-  ASSERT_NE(elab->node(snk).async_ack, nullptr);
-  EXPECT_EQ(elab->node(snk).async_get, nullptr);
+  // req rather than pulling like a FIFO get-port consumer (the end table
+  // builds an AsyncAckSink there, tests/bfm/test_ends.cpp).
+  EXPECT_EQ(elab->edge(e).head.style, builder::EndpointStyle::kHandshake);
+  EXPECT_EQ(elab->edge(e).tail.style, builder::EndpointStyle::kHandshake);
+  EXPECT_TRUE(elab->edge(e).tail.push);
+  EXPECT_TRUE(elab->node(snk).get_end->async_ack);
 
   sim.run_until(800'000);
   EXPECT_GT(elab->sink_received(snk), 100u);

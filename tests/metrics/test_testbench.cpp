@@ -1,6 +1,6 @@
-// The testbench assembles each side's stimulus from the side kind and the
-// controller (metrics/testbench.hpp's table), and a saturated run through
-// it moves data on every design.
+// The testbench puts one put end and one get end (bfm/ends.hpp, whose table
+// tests/bfm/test_ends.cpp pins row by row) on the endpoints its FIFO
+// presents, and a saturated run through it moves data on every design.
 #include "metrics/testbench.hpp"
 
 #include <gtest/gtest.h>
@@ -21,28 +21,36 @@ fifo::FifoConfig cfg_of(fifo::ControllerKind controller) {
 constexpr Side kPut{4'000, 8'000};
 constexpr Side kGet{4'000, 9'000};
 
+using bfm::EndpointStyle;
+
 TEST(Testbench, SyncSidesGetMonitorsAndDriversInFifoMode) {
   sim::Simulation sim(1);
   Testbench<fifo::MixedClockFifo> tb(sim, cfg_of(fifo::ControllerKind::kFifo),
                                      kPut, kGet);
   EXPECT_TRUE(tb.clk_put && tb.clk_get);
-  EXPECT_TRUE(tb.put_mon && tb.put_drv && tb.get_mon && tb.get_drv);
-  EXPECT_FALSE(tb.rs_source || tb.rs_sink || tb.async_put || tb.async_get);
+  EXPECT_EQ(put_endpoint(tb.dut).style, EndpointStyle::kFifoPut);
+  EXPECT_EQ(get_endpoint(tb.dut).style, EndpointStyle::kFifoGet);
   sim.run_until(200'000);
   EXPECT_GT(tb.delivered(), 20u);
   EXPECT_EQ(tb.sb.errors(), 0u);
-  EXPECT_EQ(tb.last_delivery(), tb.get_mon->last_dequeue_time());
+  EXPECT_EQ(tb.last_delivery(), tb.get_end.last_delivery());
 }
 
 TEST(Testbench, SyncSidesGetSourceAndSinkInRelayStationMode) {
   sim::Simulation sim(1);
   Testbench<fifo::MixedClockFifo> tb(
       sim, cfg_of(fifo::ControllerKind::kRelayStation), kPut, kGet);
-  EXPECT_TRUE(tb.rs_source && tb.rs_sink);
-  EXPECT_FALSE(tb.put_mon || tb.put_drv || tb.get_mon || tb.get_drv);
+  // Latency-insensitive ports over the FIFO's own put and get wires.
+  const bfm::Endpoint put = put_endpoint(tb.dut);
+  const bfm::Endpoint get = get_endpoint(tb.dut);
+  EXPECT_EQ(put.style, EndpointStyle::kLi);
+  EXPECT_EQ(get.style, EndpointStyle::kLi);
+  EXPECT_EQ(put.li.valid, &tb.dut.req_put());
+  EXPECT_EQ(put.li.stop, &tb.dut.full());
+  EXPECT_EQ(get.li.valid, &tb.dut.valid_get());
+  EXPECT_EQ(get.li.stop, &tb.dut.stop_in());
   sim.run_until(200'000);
   EXPECT_GT(tb.delivered(), 20u);
-  EXPECT_EQ(tb.delivered(), tb.rs_sink->received_valid());
   EXPECT_EQ(tb.sb.errors(), 0u);
 }
 
@@ -51,10 +59,11 @@ TEST(Testbench, AsyncSidesGetHandshakeDriversAndNoClock) {
   Testbench<fifo::AsyncAsyncFifo> tb(
       sim, cfg_of(fifo::ControllerKind::kFifo), {}, {});
   EXPECT_FALSE(tb.clk_put || tb.clk_get);
-  EXPECT_TRUE(tb.async_put && tb.async_get);
+  EXPECT_EQ(put_endpoint(tb.dut).style, EndpointStyle::kHandshake);
+  EXPECT_EQ(get_endpoint(tb.dut).style, EndpointStyle::kHandshake);
+  EXPECT_FALSE(get_endpoint(tb.dut).push);  // a FIFO get port is pulled
   sim.run_until(100'000);
   EXPECT_GT(tb.delivered(), 20u);
-  EXPECT_EQ(tb.delivered(), tb.async_get->completed());
   EXPECT_EQ(tb.sb.errors(), 0u);
 }
 
@@ -62,7 +71,9 @@ TEST(Testbench, MixedSidesPairOneClockWithOneHandshake) {
   sim::Simulation as_sim(1);
   Testbench<fifo::AsyncSyncFifo> as(
       as_sim, cfg_of(fifo::ControllerKind::kFifo), {}, kGet);
-  EXPECT_TRUE(!as.clk_put && as.clk_get && as.async_put && as.get_drv);
+  EXPECT_TRUE(!as.clk_put && as.clk_get);
+  EXPECT_EQ(put_endpoint(as.dut).style, EndpointStyle::kHandshake);
+  EXPECT_EQ(get_endpoint(as.dut).style, EndpointStyle::kFifoGet);
   as_sim.run_until(200'000);
   EXPECT_GT(as.delivered(), 20u);
   EXPECT_EQ(as.sb.errors(), 0u);
@@ -70,7 +81,9 @@ TEST(Testbench, MixedSidesPairOneClockWithOneHandshake) {
   sim::Simulation sa_sim(1);
   Testbench<fifo::SyncAsyncFifo> sa(
       sa_sim, cfg_of(fifo::ControllerKind::kFifo), kPut, {});
-  EXPECT_TRUE(sa.clk_put && !sa.clk_get && sa.put_drv && sa.async_get);
+  EXPECT_TRUE(sa.clk_put && !sa.clk_get);
+  EXPECT_EQ(put_endpoint(sa.dut).style, EndpointStyle::kFifoPut);
+  EXPECT_EQ(get_endpoint(sa.dut).style, EndpointStyle::kHandshake);
   sa_sim.run_until(200'000);
   EXPECT_GT(sa.delivered(), 20u);
   EXPECT_EQ(sa.sb.errors(), 0u);
@@ -85,24 +98,46 @@ TEST(Testbench, ManualSidesKeepOnlyTheirMonitors) {
        {fifo::ControllerKind::kFifo, fifo::ControllerKind::kRelayStation}) {
     sim::Simulation sim(1);
     Testbench<fifo::MixedClockFifo> tb(sim, cfg_of(controller), put, get);
-    EXPECT_TRUE(tb.put_mon && tb.get_mon);
-    EXPECT_FALSE(tb.put_drv || tb.get_drv || tb.rs_source || tb.rs_sink);
+    // Nobody requests: nothing enters or leaves.
+    sim.run_until(100'000);
+    EXPECT_EQ(tb.put_end.sent(), 0u);
+    EXPECT_EQ(tb.delivered(), 0u);
+    EXPECT_EQ(tb.sb.errors(), 0u);
   }
   sim::Simulation sim(1);
   Testbench<fifo::AsyncSyncFifo> as(sim, cfg_of(fifo::ControllerKind::kFifo),
                                     put, kGet);
-  ASSERT_TRUE(as.async_put);
   sim.run_until(100'000);
-  EXPECT_EQ(as.async_put->completed(), 0u);  // waits for issue_one()
+  EXPECT_EQ(as.put_end.sent(), 0u);  // waits for issue_one()
+}
+
+// A rejected testbench builds nothing, so nothing it scheduled outlives it.
+template <class Fifo>
+void expect_rejected_cleanly(const fifo::FifoConfig& cfg, const Side& put,
+                             const Side& get) {
+  sim::Simulation sim(1);
+  EXPECT_THROW(Testbench<Fifo>(sim, cfg, put, get), ConfigError);
+  EXPECT_EQ(sim.sched().pending(), 0u);
+  sim.run_until(200'000);
+  EXPECT_EQ(sim.now(), 200'000u);
 }
 
 TEST(Testbench, ManualAsyncGetSideIsAConfigError) {
-  sim::Simulation sim(1);
   Side get;
   get.gap = kManual;
-  using Tb = Testbench<fifo::SyncAsyncFifo>;
-  EXPECT_THROW(Tb(sim, cfg_of(fifo::ControllerKind::kFifo), kPut, get),
-               ConfigError);
+  const fifo::FifoConfig cfg = cfg_of(fifo::ControllerKind::kFifo);
+  expect_rejected_cleanly<fifo::SyncAsyncFifo>(cfg, kPut, get);
+  expect_rejected_cleanly<fifo::AsyncAsyncFifo>(cfg, {}, get);
+}
+
+TEST(Testbench, InvalidConfigIsAConfigErrorBeforeAnyPart) {
+  fifo::FifoConfig tiny = cfg_of(fifo::ControllerKind::kFifo);
+  tiny.capacity = 1;
+  expect_rejected_cleanly<fifo::MixedClockFifo>(tiny, kPut, kGet);
+  expect_rejected_cleanly<fifo::AsyncSyncFifo>(tiny, {}, kGet);
+  // An asynchronous get side has no relay-station mode.
+  const fifo::FifoConfig relay = cfg_of(fifo::ControllerKind::kRelayStation);
+  expect_rejected_cleanly<fifo::SyncAsyncFifo>(relay, kPut, {});
 }
 
 }  // namespace
