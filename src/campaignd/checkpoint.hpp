@@ -3,11 +3,11 @@
 // The coordinator periodically persists every completed run's snapshot
 // record (the same JSON document the worker sent over the wire: RunResult
 // + per-run Report/Registry/Coverage/timeline deltas). `--resume` reloads
-// the file, marks those run indices done, and the finalize step refolds
-// everything in run-index order -- so a resumed campaign REPLAYS NOTHING
-// and still renders byte-identical merged artifacts: the fold is a pure
-// function of the per-run records, never of when or in which process they
-// were produced. (Storing folded partial state instead would order the
+// the file, files those records into the job's sim::RunBook, and the
+// finalize step folds it in run-index order -- so a resumed campaign
+// REPLAYS NOTHING and still renders byte-identical merged artifacts: the
+// fold is a pure function of the per-run records, never of when or in
+// which process they were produced. (Storing folded partial state instead would order the
 // Report entry fold by checkpoint time, which is exactly the placement
 // dependence the engine's run-index-order contract exists to kill.)
 //

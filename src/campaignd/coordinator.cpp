@@ -11,7 +11,6 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -20,6 +19,7 @@
 #include "campaignd/snapshots.hpp"
 #include "campaignd/wire.hpp"
 #include "campaignd/workload.hpp"
+#include "sim/error.hpp"
 
 namespace mts::campaignd {
 
@@ -66,26 +66,14 @@ struct PendingConn {
   FrameDecoder dec;
 };
 
-/// The run indices a job executes: the whole matrix, or its run_filter
-/// sorted and deduplicated. Throws CoordinatorError for a filter index
-/// outside the matrix.
-std::vector<std::size_t> run_targets(const JobSpec& job) {
-  const std::size_t runs = job.configs * job.reps;
-  std::vector<std::size_t> targets = job.run_filter;
-  if (targets.empty()) {
-    targets.resize(runs);
-    std::iota(targets.begin(), targets.end(), std::size_t{0});
-    return targets;
+/// The job's run book. A run_filter index outside the matrix is a
+/// CoordinatorError on both paths.
+sim::RunBook make_book(const JobSpec& job) {
+  try {
+    return sim::RunBook(job.configs, job.reps, job.opt, job.run_filter);
+  } catch (const ConfigError& e) {
+    throw CoordinatorError(e.what());
   }
-  std::sort(targets.begin(), targets.end());
-  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-  const auto bad = std::lower_bound(targets.begin(), targets.end(), runs);
-  if (bad != targets.end()) {
-    throw CoordinatorError("run_filter index " + std::to_string(*bad) +
-                           " outside the " + std::to_string(runs) +
-                           "-run matrix");
-  }
-  return targets;
 }
 
 /// A record carrying only a result: runs that were never executed
@@ -96,19 +84,6 @@ json::Value result_record(const sim::RunResult& r) {
   return rec;
 }
 
-/// Decodes one record (wire payload or checkpoint entry) and folds it:
-/// the run into the campaign fold, its coverage delta beside it.
-void fold_record(const json::Value& rec, Coordinator::Outcome& out) {
-  sim::RunRecord run;
-  run_record_from_json(rec, run);
-  out.fold(std::move(run));
-  if (const json::Value* v = rec.find("coverage")) {
-    metrics::Coverage delta;
-    coverage_from_json(*v, delta);
-    out.coverage.merge(delta);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -117,24 +92,20 @@ void fold_record(const json::Value& rec, Coordinator::Outcome& out) {
 
 void run_local(const JobSpec& job, Coordinator::Outcome& out) {
   const auto t0 = Clock::now();
-  out.begin(job.configs, job.reps, job.opt);
-  const std::vector<std::size_t> targets = run_targets(job);
+  sim::RunBook book = make_book(job);
   std::unique_ptr<Workload> wl = make_workload(job.workload, job.params);
   const sim::Campaign::Body body = wl->body();
   sim::RunShard shard(job.opt);
-  sim::ConfigLedger ledger(job.configs, job.opt.quarantine_after);
 
-  for (std::size_t index : targets) {
+  for (std::size_t index : book.runs()) {
+    if (!book.admit(index)) continue;
     wl->begin_run();
-    sim::RunRecord rec;
-    const bool executed = sim::run_step(shard, job.opt, job.configs, job.reps,
-                                        index, 0, body, &ledger, rec);
-    out.fold(std::move(rec));
-    if (executed && wl->coverage() != nullptr) {
-      out.coverage.merge(*wl->coverage());
-    }
+    sim::run_step(shard, job.opt, job.configs, job.reps, index, 0, body,
+                  book.slot(index));
+    book.file(index);
+    if (wl->coverage() != nullptr) out.coverage.merge(*wl->coverage());
   }
-  out.finish(ledger.quarantined_configs());
+  book.fold(out);
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
@@ -152,15 +123,16 @@ struct Coordinator::Impl {
   std::vector<PendingConn> pendings;
   std::map<std::int64_t, Unit> units;  ///< incomplete units
   std::deque<std::int64_t> queue;      ///< undispatched unit ids
-  std::map<std::size_t, json::Value> records;  ///< run index -> record
-  std::size_t total_targets = 0;
-  sim::ConfigLedger ledger;
+  sim::RunBook book;
+  /// Filed runs' snapshot records, by run index: what checkpoints store
+  /// and where the coverage deltas wait for finalize.
+  std::map<std::size_t, json::Value> records;
   std::vector<std::int64_t> quarantined_units;
   std::size_t since_checkpoint = 0;
   std::string digest;
 
   Impl(Coordinator& c, const JobSpec& j, const CoordinatorOptions& o)
-      : self(c), job(j), opt(o), ledger(j.configs, j.opt.quarantine_after) {}
+      : self(c), job(j), opt(o), book(make_book(j)) {}
 
   void emit(const std::string& kind, int worker = -1, long pid = -1,
             std::int64_t unit = -1, const std::string& detail = "") {
@@ -182,25 +154,28 @@ struct Coordinator::Impl {
 
   void setup() {
     digest = job_digest(job.configs, job.reps, job.opt, job.workload,
-                        job.params.dump());
-    const std::vector<std::size_t> targets = run_targets(job);
-    total_targets = targets.size();
+                        job.params.dump(), book.runs());
 
     if (opt.resume && !opt.checkpoint_path.empty() &&
         ::access(opt.checkpoint_path.c_str(), F_OK) == 0) {
       Checkpoint cp = load_checkpoint(opt.checkpoint_path, digest);
       for (json::Value& rec : cp.runs) {
         const std::size_t idx = record_run_index(rec);
-        records.emplace(idx, std::move(rec));
-        // Replayed failure accounting so config quarantine resumes where
-        // it left off (signature: same gate decisions as the first life).
-        note_result_for_quarantine(idx);
+        if (!book.listed(idx) || book.filed(idx)) {
+          throw CheckpointError(opt.checkpoint_path + ": run " +
+                                std::to_string(idx) +
+                                " is not an outstanding run of this job");
+        }
+        // Filing replays the failure accounting, so config quarantine
+        // resumes where it left off (same gate decisions as the first
+        // life).
+        file_record(idx, std::move(rec));
       }
     }
 
     std::vector<std::size_t> remaining;
-    for (std::size_t t : targets) {
-      if (records.find(t) == records.end()) remaining.push_back(t);
+    for (std::size_t t : book.runs()) {
+      if (!book.filed(t)) remaining.push_back(t);
     }
     if (remaining.empty()) return;  // resume of a finished campaign
 
@@ -243,16 +218,18 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Counts a stored record's failure in the config-quarantine ledger --
-  /// the coordinator's share of sim::handle_failed_run (workers write the
-  /// repro bundles). Skipped runs (attempts == 0) were never executed and
-  /// do not count, as in the engine.
-  void note_result_for_quarantine(std::size_t idx) {
-    const json::Value& res = records.at(idx).at("result");
-    if (!res.get_bool("ok", false) && res.get_u64("attempts", 1) > 0) {
-      ledger.count_failure(
-          sim::campaign_run_spec(job.opt.seed, job.reps, idx).config);
+  /// Decodes a snapshot record (wire payload or checkpoint entry) into
+  /// its book slot and files it. A record that does not decode is fatal:
+  /// a half-restored slot must never fold.
+  void file_record(std::size_t idx, json::Value rec) {
+    try {
+      run_record_from_json(rec, book.slot(idx));
+    } catch (const json::ProtocolError& e) {
+      throw CoordinatorError("malformed record for run " +
+                             std::to_string(idx) + ": " + e.what());
     }
+    book.file(idx);
+    records.emplace(idx, std::move(rec));
   }
 
   // -- process management ---------------------------------------------------
@@ -293,7 +270,7 @@ struct Coordinator::Impl {
 
   /// Reaps an exiting worker with a short grace period, translating its
   /// exit status into a failure signature. "disconnect" when the status is
-  /// not available in time (fail_slot will SIGKILL and reap for real).
+  /// not available in time (the slot stays alive for kill_and_reap).
   std::string reap_signature(Slot& s) {
     int status = 0;
     for (int i = 0; i < 50; ++i) {
@@ -409,21 +386,18 @@ struct Coordinator::Impl {
   void quarantine_unit(Unit& u, const std::string& signature,
                        const std::string& why) {
     for (std::size_t index : u.indices) {
-      if (records.find(index) != records.end()) continue;
-      const sim::RunSpec spec =
-          sim::campaign_run_spec(job.opt.seed, job.reps, index);
-      sim::RunResult r;
-      r.index = index;
-      r.seed = spec.seed;
-      r.ok = false;
-      r.attempts = 0;
-      r.classification = "quarantined";
-      r.error = "unit " + std::to_string(u.id) + " quarantined (" + why +
-                "): " + signature;
+      if (book.filed(index)) continue;
+      // Never executed (attempts == 0): the book does not count it.
+      sim::RunResult& r =
+          book.skip(index, "unit " + std::to_string(u.id) + " quarantined (" +
+                               why + "): " + signature);
       r.error_type = "campaignd::WorkerFailure";
-      // Never executed, so it does not count against its config.
-      sim::handle_failed_run(job.opt, job.configs, job.reps, spec, r,
-                             nullptr);
+      if (!job.opt.repro_dir.empty()) {
+        sim::write_repro_bundle(
+            job.opt.repro_dir, job.opt.seed, job.configs, job.reps,
+            sim::campaign_run_spec(job.opt.seed, job.reps, index), r);
+      }
+      book.file(index);
       records.emplace(index, result_record(r));
       ++since_checkpoint;
     }
@@ -432,21 +406,18 @@ struct Coordinator::Impl {
     maybe_checkpoint();
   }
 
-  /// Strikes quarantined-config runs from a unit before dispatch,
-  /// synthesizing their skip records (engine gate parity).
+  /// Passes a unit's runs through the book's config-quarantine gate
+  /// before dispatch: a gated run leaves the unit, its skip record filed.
   void strip_quarantined_configs(Unit& u) {
     if (job.opt.quarantine_after == 0) return;
     std::vector<std::size_t> keep;
     for (std::size_t index : u.indices) {
-      const sim::RunSpec spec =
-          sim::campaign_run_spec(job.opt.seed, job.reps, index);
-      if (!ledger.quarantined(spec.config)) {
+      if (book.filed(index)) continue;
+      if (book.admit(index)) {
         keep.push_back(index);
         continue;
       }
-      if (records.find(index) != records.end()) continue;
-      records.emplace(index, result_record(sim::quarantined_run(
-                                 spec, job.opt.quarantine_after)));
+      records.emplace(index, result_record(book.slot(index).result));
       ++since_checkpoint;
     }
     u.indices.swap(keep);
@@ -561,9 +532,12 @@ struct Coordinator::Impl {
       auto& ind = uit->second.indices;
       ind.erase(std::remove(ind.begin(), ind.end(), idx), ind.end());
     }
-    if (records.find(idx) == records.end()) {
-      records.emplace(idx, rec);
-      note_result_for_quarantine(idx);
+    if (!book.listed(idx)) {
+      throw json::ProtocolError("record for unlisted run " +
+                                std::to_string(idx));
+    }
+    if (!book.filed(idx)) {
+      file_record(idx, rec);
       ++since_checkpoint;
       emit("run_done", s.index, static_cast<long>(s.pid), uid,
            "run " + std::to_string(idx));
@@ -718,20 +692,20 @@ struct Coordinator::Impl {
   /// completion. Throws CoordinatorError when the fleet fully retired with
   /// work outstanding (after checkpointing).
   bool loop() {
-    while (records.size() < total_targets) {
+    while (book.remaining() > 0) {
       if (want_shutdown()) return true;
       if (all_retired()) {
         write_now(false);
         throw CoordinatorError(
             "every worker slot retired with " +
-            std::to_string(total_targets - records.size()) +
+            std::to_string(book.remaining()) +
             " runs outstanding" +
             (opt.checkpoint_path.empty()
                  ? ""
                  : "; checkpoint written to " + opt.checkpoint_path));
       }
       dispatch_ready();
-      if (records.size() >= total_targets) break;
+      if (book.remaining() == 0) break;
       poll_once();
       check_deadlines();
     }
@@ -804,20 +778,10 @@ struct Coordinator::Impl {
     // close above. Stragglers get SIGKILL.
     for (Slot& s : slots) {
       if (!s.alive || s.pid <= 0) continue;
-      bool reaped = false;
-      for (int i = 0; i < 50 && !reaped; ++i) {
-        int status = 0;
-        const pid_t r = ::waitpid(s.pid, &status, WNOHANG);
-        if (r == s.pid || r < 0) {
-          reaped = true;
-          s.alive = false;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      if (!reaped) kill_and_reap(s);
+      reap_signature(s);
+      kill_and_reap(s);  // no-op once reaped
     }
-    write_now(!interrupted && records.size() >= total_targets);
+    write_now(!interrupted && book.remaining() == 0);
     emit("shutdown", -1, -1, -1,
          interrupted ? "interrupted" : "complete");
   }
@@ -839,7 +803,6 @@ void Coordinator::install_signal_handlers() {
 
 void Coordinator::run(Outcome& out) {
   const auto t0 = Clock::now();
-  out.begin(job_.configs, job_.reps, job_.opt);
   Impl impl(*this, job_, opt_);
   impl.setup();
   bool interrupted = false;
@@ -851,8 +814,14 @@ void Coordinator::run(Outcome& out) {
   }
   impl.teardown(interrupted);
 
-  for (const auto& entry : impl.records) fold_record(entry.second, out);
-  out.finish(impl.ledger.quarantined_configs());
+  impl.book.fold(out);
+  for (const auto& entry : impl.records) {
+    if (const json::Value* v = entry.second.find("coverage")) {
+      metrics::Coverage delta;
+      coverage_from_json(*v, delta);
+      out.coverage.merge(delta);
+    }
+  }
   out.quarantined_units = impl.quarantined_units;
   out.interrupted = interrupted;
   out.workers = static_cast<unsigned>(impl.slots.size());

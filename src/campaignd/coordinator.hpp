@@ -5,14 +5,15 @@
 // run-index lists), spawns `workers` crash-isolated worker processes
 // (fork/exec of this binary's `worker` subcommand, or any command with a
 // {port} placeholder), and dispatches units over a length-prefixed
-// TCP/JSON protocol on 127.0.0.1. Every completed run returns a snapshot
-// record; at finalize each record is decoded back into a sim::RunRecord
-// and folded in run-index order by the engine's own sim::CampaignOutcome,
-// so the merged report / metrics / coverage / timeline -- and the rendered
-// campaign + health JSON -- are byte-identical to the sequential
-// in-process run (run_local, which folds its records without the JSON
-// hop; the chaos suite diffs the two, testing the snapshot codec end to
-// end).
+// TCP/JSON protocol on 127.0.0.1. The run list, the config-quarantine
+// gate (applied to each unit at dispatch), failure counting and the fold
+// are the job's sim::RunBook, as in sim::Campaign and run_local. Each
+// completed run's snapshot record is decoded on arrival into its book
+// slot; the campaign is done when no listed run remains, and finalize is
+// the book's fold plus the coverage merge -- byte-identical to run_local
+// (the chaos suite diffs the two, testing the snapshot codec end to end).
+// What the fleet adds exists because processes die: unit retries,
+// backoff, unit quarantine, heartbeats and checkpoints.
 //
 // Fault tolerance:
 //   * Crash detection: worker EOF / nonzero exit / signal death, a lost
@@ -30,9 +31,10 @@
 //     failed ("quarantined") instead of being retried forever.
 //   * Checkpoint/resume: every checkpoint_every completed runs (and at
 //     every shutdown path) the coordinator atomically persists all
-//     completed records. `resume` reloads them, re-dispatches only the
-//     remainder, and -- because the fold is a pure function of the records
-//     -- renders byte-identical artifacts while REPLAYING NOTHING.
+//     completed records. `resume` files them into the book, re-dispatches
+//     only the remainder, and -- because the fold is a pure function of the
+//     records -- renders byte-identical artifacts while REPLAYING NOTHING.
+//     The job digest covers a run_filter's list: no resume under another.
 //   * Graceful shutdown: SIGTERM/SIGINT (install_signal_handlers) or
 //     request_shutdown() stops dispatching, writes a final checkpoint,
 //     kills the fleet and returns with Outcome::interrupted set.
@@ -156,8 +158,8 @@ class Coordinator {
 };
 
 /// The sequential in-process oracle: executes the same job in this process
-/// (one shard, run-index order) through the same per-run step and fold as
-/// the distributed path, folding its records directly. The chaos suite
+/// (one shard, run-index order) through the same RunBook and per-run step
+/// as the distributed path, filling its book directly. The chaos suite
 /// diffs every distributed outcome against this.
 /// Validates run_filter exactly like Coordinator::run (CoordinatorError for
 /// an index outside the matrix; duplicates execute once).

@@ -372,13 +372,19 @@ void run_record_from_json(const Value& v, sim::RunRecord& out) {
 std::string job_digest(std::size_t configs, std::size_t reps,
                        const sim::CampaignOptions& opt,
                        const std::string& workload,
-                       const std::string& params_json) {
+                       const std::string& params_json,
+                       const std::vector<std::size_t>& runs) {
   Value v = Value::object();
   v.set("configs", Value::number_size(configs));
   v.set("reps", Value::number_size(reps));
   v.set("options", options_to_json(opt));
   v.set("workload", Value(workload));
   v.set("params", Value(params_json));
+  if (!runs.empty() && runs.size() != configs * reps) {
+    Value list = Value::array();
+    for (std::size_t i : runs) list.push(Value::number_size(i));
+    v.set("runs", std::move(list));
+  }
   const std::string canon = v.dump();
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a/64
   for (const char c : canon) {

@@ -3,8 +3,8 @@
 // A campaignd worker executes a run and ships its sim::RunRecord -- the
 // RunResult, per-run Report, the body's registry and the sampled timeline
 // -- plus the workload's coverage delta to the coordinator, which decodes
-// the record and folds it with the same sim::CampaignOutcome the
-// in-process engine uses. The checkpoint file stores the identical
+// the record into its slot of the job's sim::RunBook, the type the
+// in-process engine folds through. The checkpoint file stores the identical
 // records. Both therefore need EXACT round-trips: a restored snapshot must
 // merge and re-render byte-identically to the original object, which is
 // what makes a resumed or multi-process campaign byte-identical to the
@@ -21,6 +21,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "campaignd/json.hpp"
 #include "metrics/coverage.hpp"
@@ -87,11 +88,13 @@ json::Value make_run_record(const sim::RunRecord& rec,
 void run_record_from_json(const json::Value& v, sim::RunRecord& out);
 
 /// FNV-1a/64 of a canonical dump, as 16 hex digits: the checkpoint header's
-/// job-compatibility digest (resuming under a different matrix, seed or
-/// option set must be rejected, not silently folded).
+/// job-compatibility digest (resuming under a different matrix, seed,
+/// option set or run list must be rejected, not silently folded). `runs`
+/// is sim::RunBook::runs(); the whole matrix (or empty) adds nothing.
 std::string job_digest(std::size_t configs, std::size_t reps,
                        const sim::CampaignOptions& opt,
                        const std::string& workload,
-                       const std::string& params_json);
+                       const std::string& params_json,
+                       const std::vector<std::size_t>& runs = {});
 
 }  // namespace mts::campaignd

@@ -219,15 +219,14 @@ class Worker {
     send_msg(ud);
   }
 
-  /// Executes run `index` exactly as a Campaign pool thread would and
-  /// stages its snapshot record in record_. No ledger: the coordinator
-  /// keeps the config-quarantine ledger (it sees every worker's records)
-  /// and gates before dispatch; this process only writes the repro bundle.
+  /// Executes run `index` exactly as a Campaign pool thread would (repro
+  /// bundle included) and stages its snapshot record in record_. The run
+  /// list and its quarantine gate are the coordinator's RunBook: it sees
+  /// every worker's records and gates runs before dispatch.
   void execute_one(std::size_t index) {
     workload_->begin_run();
     sim::RunRecord rec;
-    sim::run_step(*shard_, opt_, configs_, reps_, index, 0, body_, nullptr,
-                  rec);
+    sim::run_step(*shard_, opt_, configs_, reps_, index, 0, body_, rec);
     record_ = make_run_record(rec, workload_->coverage());
   }
 

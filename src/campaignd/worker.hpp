@@ -5,10 +5,11 @@
 // (workload name + params + matrix shape + options), then executes work
 // units -- explicit run-index lists -- one run at a time through the SAME
 // sim::run_step the in-process engine uses, on a worker-lifetime RunShard
-// with warm arenas. Each completed run ships its sim::RunRecord as a
-// snapshot record (make_run_record) back over the wire; the coordinator
-// folds records in run-index order, so nothing about the placement of runs
-// onto workers is observable in the merged artifacts.
+// with warm arenas; the run list and quarantine gate stay with the
+// coordinator's sim::RunBook. Each completed run ships its sim::RunRecord
+// as a snapshot record (make_run_record) back over the wire; the
+// coordinator files it into its book, which folds in run-index order, so
+// run placement is not observable in the merged artifacts.
 //
 // Crash isolation is the point: a run that segfaults, aborts, wedges or
 // loses its process takes down THIS worker only. The coordinator detects

@@ -1,5 +1,6 @@
 #include "sim/campaign.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -7,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <typeinfo>
@@ -40,6 +42,29 @@ std::string demangled(const char* name) {
   }
 #endif
   return name;
+}
+
+/// `lead` + "scalars": {...} when the run recorded any.
+void write_scalars(std::ostream& os, const char* lead, const RunResult& r) {
+  if (r.scalars.empty()) return;
+  os << lead << "\"scalars\": {";
+  const char* sep = "";
+  for (const auto& [name, v] : r.scalars) {
+    os << sep << "\"" << json_escape(name) << "\": " << v;
+    sep = ", ";
+  }
+  os << "}";
+}
+
+/// `lead` + "quarantined_configs": [...] when any config is quarantined.
+void write_quarantined(std::ostream& os, const char* lead,
+                       const std::vector<std::size_t>& configs) {
+  if (configs.empty()) return;
+  os << lead << "\"quarantined_configs\": [";
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    os << (i == 0 ? "" : ", ") << configs[i];
+  }
+  os << "]";
 }
 
 }  // namespace
@@ -240,23 +265,19 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
 
 }  // namespace
 
-bool run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
+void run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
               std::size_t reps, std::size_t index, unsigned worker_index,
-              const Campaign::Body& body, ConfigLedger* ledger,
-              RunRecord& rec) {
+              const Campaign::Body& body, RunRecord& rec) {
   const RunSpec spec = campaign_run_spec(opt.seed, reps, index);
-  if (ledger != nullptr && ledger->quarantined(spec.config)) {
-    rec.result = quarantined_run(spec, opt.quarantine_after);
-    return false;
-  }
   execute_run(shard, opt, spec, worker_index, body, rec);
-  handle_failed_run(opt, configs, reps, spec, rec.result, ledger);
-  return true;
+  if (!rec.result.ok && !opt.repro_dir.empty()) {
+    write_repro_bundle(opt.repro_dir, opt.seed, configs, reps, spec,
+                       rec.result);
+  }
 }
 
 Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
-    : opt_(std::move(opt)) {
-  out_.begin(configs, reps, opt_);
+    : opt_(std::move(opt)), book_(configs, reps, opt_) {
   unsigned w = opt_.workers;
   if (w == 0) w = std::thread::hardware_concurrency();
   if (w == 0) w = 1;
@@ -267,24 +288,6 @@ Campaign::Campaign(std::size_t configs, std::size_t reps, CampaignOptions opt)
   out_.workers = w == 0 ? 1 : w;
 }
 
-struct Campaign::Cursor {
-  Cursor(std::size_t configs, unsigned quarantine_after)
-      : ledger(configs, quarantine_after) {}
-  std::atomic<std::size_t> next{0};
-  ConfigLedger ledger;
-};
-
-void Campaign::worker_loop(std::vector<RunRecord>& records, RunShard& w,
-                           unsigned worker_index, const Body& body) {
-  for (;;) {
-    const std::size_t i =
-        cursor_->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= runs()) return;
-    run_step(w, opt_, configs(), reps(), i, worker_index, body,
-             &cursor_->ledger, records[i]);
-  }
-}
-
 RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
                           std::size_t index) noexcept {
   RunSpec spec;
@@ -293,50 +296,6 @@ RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
   spec.rep = reps > 0 ? index % reps : 0;
   spec.seed = campaign_run_seed(campaign_seed, index);
   return spec;
-}
-
-ConfigLedger::ConfigLedger(std::size_t configs, unsigned quarantine_after)
-    : after_(quarantine_after), failures_(quarantine_after > 0 ? configs : 0) {}
-
-bool ConfigLedger::quarantined(std::size_t config) const noexcept {
-  return config < failures_.size() &&
-         failures_[config].load(std::memory_order_relaxed) >= after_;
-}
-
-void ConfigLedger::count_failure(std::size_t config) noexcept {
-  if (config < failures_.size()) {
-    failures_[config].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<std::size_t> ConfigLedger::quarantined_configs() const {
-  std::vector<std::size_t> out;
-  for (std::size_t c = 0; c < failures_.size(); ++c) {
-    if (quarantined(c)) out.push_back(c);
-  }
-  return out;
-}
-
-RunResult quarantined_run(const RunSpec& spec, unsigned quarantine_after) {
-  RunResult r;
-  r.index = spec.index;
-  r.seed = spec.seed;
-  r.ok = false;
-  r.attempts = 0;
-  r.classification = "quarantined";
-  r.error = "config " + std::to_string(spec.config) + " quarantined after " +
-            std::to_string(quarantine_after) + " failed runs";
-  return r;
-}
-
-void handle_failed_run(const CampaignOptions& opt, std::size_t configs,
-                       std::size_t reps, const RunSpec& spec, RunResult& r,
-                       ConfigLedger* ledger) {
-  if (r.ok) return;
-  if (ledger != nullptr) ledger->count_failure(spec.config);
-  if (!opt.repro_dir.empty()) {
-    write_repro_bundle(opt.repro_dir, opt.seed, configs, reps, spec, r);
-  }
 }
 
 bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
@@ -357,16 +316,7 @@ bool write_repro_bundle(const std::string& dir, std::uint64_t campaign_seed,
       << "\", \"what\": \"" << json_escape(r.error)
       << "\", \"classification\": \"" << json_escape(r.classification)
       << "\", \"attempts\": " << r.attempts << "}";
-  if (!r.scalars.empty()) {
-    out << ",\n  \"scalars\": {";
-    bool first = true;
-    for (const auto& [name, v] : r.scalars) {
-      if (!first) out << ", ";
-      first = false;
-      out << "\"" << json_escape(name) << "\": " << v;
-    }
-    out << "}";
-  }
+  write_scalars(out, ",\n  ", r);
   if (!r.artifact.empty()) out << ",\n  \"artifact\": " << r.artifact;
   if (!r.violations_json.empty()) {
     out << ",\n  \"violations\": " << r.violations_json;
@@ -381,42 +331,45 @@ void Campaign::run(const Body& body) {
   if (ran_) throw ConfigError("Campaign::run may only be called once");
   ran_ = true;
 
-  const std::size_t n = runs();
-  if (n == 0) return;
-  // Each run fills its own record in place; the fold below runs after the
-  // pool joins, in run-index order, so nothing depends on which worker
-  // claimed which run.
-  std::vector<RunRecord> records(n);
-
-  Cursor cursor(configs(), opt_.quarantine_after);
-  cursor_ = &cursor;
+  // Pool threads claim listed runs from this cursor and fill the book's
+  // slots in place; the fold runs after the pool joins, in run-index
+  // order, so nothing depends on which worker claimed which run.
+  const std::vector<std::size_t>& list = book_.runs();
+  std::atomic<std::size_t> next{0};
+  auto drain = [&](RunShard& shard, unsigned worker_index) {
+    for (;;) {
+      const std::size_t at = next.fetch_add(1, std::memory_order_relaxed);
+      if (at >= list.size()) return;
+      const std::size_t i = list[at];
+      if (!book_.admit(i)) continue;
+      run_step(shard, opt_, configs(), reps(), i, worker_index, body,
+               book_.slot(i));
+      book_.file(i);
+    }
+  };
 
   // Workers live in a deque: Simulation is non-movable and each shard's
   // address must stay stable for the threads holding references into it.
-  const unsigned workers = out_.workers;
-  std::deque<RunShard> shards;
-  for (unsigned wi = 0; wi < workers; ++wi) shards.emplace_back(opt_);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  if (workers == 1) {
-    worker_loop(records, shards[0], 0, body);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned wi = 0; wi < workers; ++wi) {
-      threads.emplace_back([this, &records, &shards, wi, &body] {
-        worker_loop(records, shards[wi], wi, body);
-      });
+  // At one worker the pool is the caller's thread.
+  if (!list.empty()) {
+    std::deque<RunShard> shards;
+    for (unsigned wi = 0; wi < out_.workers; ++wi) shards.emplace_back(opt_);
+    const auto t0 = std::chrono::steady_clock::now();
+    if (out_.workers == 1) {
+      drain(shards[0], 0);
+    } else {
+      std::vector<std::thread> threads;
+      threads.reserve(out_.workers);
+      for (unsigned wi = 0; wi < out_.workers; ++wi) {
+        threads.emplace_back([&drain, &shards, wi] { drain(shards[wi], wi); });
+      }
+      for (std::thread& t : threads) t.join();
     }
-    for (std::thread& t : threads) t.join();
+    out_.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  out_.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  cursor_ = nullptr;
-
-  out_.results.reserve(n);
-  for (RunRecord& rec : records) out_.fold(std::move(rec));
-  out_.finish(cursor.ledger.quarantined_configs());
+  book_.fold(out_);
 }
 
 std::size_t Campaign::failed() const noexcept {
@@ -437,54 +390,141 @@ bool Campaign::write_health_json(const std::string& path,
 
 // -- the campaign fold -------------------------------------------------------
 
-void CampaignOutcome::begin(std::size_t configs_in, std::size_t reps_in,
-                            const CampaignOptions& opt) {
-  configs = configs_in;
-  reps = reps_in;
-  seed = opt.seed;
-  slo = opt.slo;
+// -- the run book ------------------------------------------------------------
+
+RunBook::RunBook(std::size_t configs, std::size_t reps,
+                 const CampaignOptions& opt, std::vector<std::size_t> filter)
+    : configs_(configs),
+      reps_(reps),
+      opt_(opt),
+      runs_(std::move(filter)),
+      failures_(configs) {
+  const std::size_t matrix = configs * reps;
+  if (runs_.empty()) {
+    runs_.resize(matrix);
+    std::iota(runs_.begin(), runs_.end(), std::size_t{0});
+  }
+  std::sort(runs_.begin(), runs_.end());
+  runs_.erase(std::unique(runs_.begin(), runs_.end()), runs_.end());
+  if (!runs_.empty() && runs_.back() >= matrix) {
+    throw ConfigError("run_filter index " + std::to_string(runs_.back()) +
+                      " outside the " + std::to_string(matrix) +
+                      "-run matrix");
+  }
+  slots_ = std::vector<RunRecord>(runs_.size());
+  filed_ = std::vector<std::atomic<bool>>(runs_.size());
+  remaining_ = runs_.size();
 }
 
-void CampaignOutcome::fold(RunRecord&& rec) {
-  results.push_back(std::move(rec.result));
-  report.merge(rec.report);
-  metrics.merge(rec.metrics);
-  timeline.merge(rec.timeline);
+std::size_t RunBook::position(std::size_t index) const {
+  const auto it = std::lower_bound(runs_.begin(), runs_.end(), index);
+  if (it == runs_.end() || *it != index) {
+    throw ConfigError("run " + std::to_string(index) + " is not listed");
+  }
+  return static_cast<std::size_t>(it - runs_.begin());
 }
 
-void CampaignOutcome::finish(std::vector<std::size_t> quarantined) {
-  quarantined_configs = std::move(quarantined);
+bool RunBook::listed(std::size_t index) const noexcept {
+  return std::binary_search(runs_.begin(), runs_.end(), index);
+}
+
+bool RunBook::filed(std::size_t index) const {
+  return filed_[position(index)].load(std::memory_order_relaxed);
+}
+
+RunRecord& RunBook::slot(std::size_t index) { return slots_[position(index)]; }
+
+bool RunBook::burned(std::size_t config) const noexcept {
+  return opt_.quarantine_after > 0 &&
+         failures_[config].load(std::memory_order_relaxed) >=
+             opt_.quarantine_after;
+}
+
+bool RunBook::admit(std::size_t index) {
+  (void)position(index);  // ConfigError for an unlisted run
+  const std::size_t config = index / reps_;
+  if (!burned(config)) return true;
+  skip(index, "config " + std::to_string(config) + " quarantined after " +
+                  std::to_string(opt_.quarantine_after) + " failed runs");
+  file(index);
+  return false;
+}
+
+RunResult& RunBook::skip(std::size_t index, std::string error) {
+  RunResult& r = slot(index).result;
+  r.index = index;
+  r.seed = campaign_run_seed(opt_.seed, index);
+  r.ok = false;
+  r.attempts = 0;
+  r.classification = "quarantined";
+  r.error = std::move(error);
+  return r;
+}
+
+void RunBook::file(std::size_t index) {
+  const std::size_t at = position(index);
+  if (filed_[at].exchange(true, std::memory_order_relaxed)) {
+    throw ConfigError("run " + std::to_string(index) + " filed twice");
+  }
+  if (!slots_[at].result.ok && slots_[at].result.attempts > 0) {
+    failures_[index / reps_].fetch_add(1, std::memory_order_relaxed);
+  }
+  --remaining_;
+}
+
+std::vector<std::size_t> RunBook::quarantined_configs() const {
+  std::vector<std::size_t> out;
+  for (std::size_t c = 0; c < configs_; ++c) {
+    if (burned(c)) out.push_back(c);
+  }
+  return out;
+}
+
+void RunBook::fold(CampaignOutcome& out) {
+  const SloGate& slo = opt_.slo;
+  out.configs = configs_;
+  out.reps = reps_;
+  out.seed = opt_.seed;
+  out.slo = slo;
+  out.results.reserve(runs_.size() - remaining());
+  for (std::size_t at = 0; at < runs_.size(); ++at) {
+    if (!filed_[at].load(std::memory_order_relaxed)) continue;
+    RunRecord& rec = slots_[at];
+    out.results.push_back(std::move(rec.result));
+    out.report.merge(rec.report);
+    out.metrics.merge(rec.metrics);
+    out.timeline.merge(rec.timeline);
+  }
+  std::vector<RunRecord>().swap(slots_);  // folded: release the records
+  out.quarantined_configs = quarantined_configs();
 
   // Failure manifest: one merged-report entry per failed run, folded in
   // run-index order so the merged artifact stays worker-count independent.
-  for (const RunResult& r : results) {
+  for (const RunResult& r : out.results) {
     if (r.ok) continue;
     std::string msg = "run " + std::to_string(r.index) + " (config " +
-                      std::to_string(reps == 0 ? 0 : r.index / reps) +
-                      ", rep " +
-                      std::to_string(reps == 0 ? 0 : r.index % reps) +
-                      ", seed " + std::to_string(r.seed) + ")";
+                      std::to_string(r.index / reps_) + ", rep " +
+                      std::to_string(r.index % reps_) + ", seed " +
+                      std::to_string(r.seed) + ")";
     if (!r.classification.empty()) msg += " [" + r.classification + "]";
     if (!r.error_type.empty()) msg += " " + r.error_type;
     msg += ": " + r.error;
-    report.add(0, Severity::kError, "campaign-failure", msg);
+    out.report.add(0, Severity::kError, "campaign-failure", msg);
   }
 
   // SLO manifest: one merged-report entry per breaching run, folded in
   // run-index order (same worker-count-independence contract as above).
   if (slo.budget > 0.0) {
-    for (const RunResult& r : results) {
+    for (const RunResult& r : out.results) {
       if (r.slo_breaches == 0) continue;
       std::ostringstream msg;
-      msg << "run " << r.index << " (config "
-          << (reps == 0 ? 0 : r.index / reps) << ", rep "
-          << (reps == 0 ? 0 : r.index % reps) << "): "
-          << r.slo_worst_instance << "." << slo.metric << " p"
-          << slo.percentile * 100.0 << " = " << r.slo_worst
-          << " > budget " << slo.budget << " (" << r.slo_breaches
-          << " instance(s) over)";
-      report.add(0, slo.fail_run ? Severity::kError : Severity::kWarning,
-                 "campaign-slo", msg.str());
+      msg << "run " << r.index << " (config " << r.index / reps_ << ", rep "
+          << r.index % reps_ << "): " << r.slo_worst_instance << "."
+          << slo.metric << " p" << slo.percentile * 100.0 << " = "
+          << r.slo_worst << " > budget " << slo.budget << " ("
+          << r.slo_breaches << " instance(s) over)";
+      out.report.add(0, slo.fail_run ? Severity::kError : Severity::kWarning,
+                     "campaign-slo", msg.str());
     }
   }
 }
@@ -553,15 +593,7 @@ std::string CampaignOutcome::health_json(bool include_host_stats) const {
        << ", \"budget\": " << slo.budget << ", \"fail_run\": "
        << (slo.fail_run ? "true" : "false") << "}";
   }
-  if (!quarantined_configs.empty()) {
-    os << ",\n  \"quarantined_configs\": [";
-    bool first = true;
-    for (std::size_t q : quarantined_configs) {
-      os << (first ? "" : ", ") << q;
-      first = false;
-    }
-    os << "]";
-  }
+  write_quarantined(os, ",\n  ", quarantined_configs);
   os << "\n}\n";
   return os.str();
 }
@@ -603,31 +635,14 @@ std::string CampaignOutcome::to_json(bool include_host_stats) const {
          << json_escape(r.slo_worst_instance) << "\"";
     }
     if (r.slo_breaches > 0) os << ", \"slo_breaches\": " << r.slo_breaches;
-    if (!r.scalars.empty()) {
-      os << ", \"scalars\": {";
-      bool sfirst = true;
-      for (const auto& [name, v] : r.scalars) {
-        if (!sfirst) os << ", ";
-        sfirst = false;
-        os << "\"" << json_escape(name) << "\": " << v;
-      }
-      os << "}";
-    }
+    write_scalars(os, ", ", r);
     if (!r.artifact.empty()) os << ", \"artifact\": " << r.artifact;
     if (!r.report_json.empty()) os << ", \"report\": " << r.report_json;
     os << "}";
   }
   os << (first ? "]" : "\n  ]") << ",\n";
   os << "  \"merged\": {\"failed_runs\": " << failed_runs;
-  if (!quarantined_configs.empty()) {
-    os << ", \"quarantined_configs\": [";
-    bool qfirst = true;
-    for (std::size_t q : quarantined_configs) {
-      os << (qfirst ? "" : ", ") << q;
-      qfirst = false;
-    }
-    os << "]";
-  }
+  write_quarantined(os, ", ", quarantined_configs);
   os << ", \"report\": " << report.to_json()
      << ", \"metrics\": " << metrics.to_json() << "}\n";
   os << "}\n";

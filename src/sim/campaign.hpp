@@ -11,7 +11,7 @@
 //   * Sharding. Each worker thread owns a Simulation for its whole
 //     lifetime. Nothing inside a run body is shared across threads; the
 //     only cross-thread state is the atomic next-run cursor and the
-//     pre-sized RunRecord vector (each run writes its own element).
+//     RunBook (each run fills its own slot; failure counts are atomics).
 //
 //   * Arena reuse. Between runs a worker calls Simulation::reset(seed),
 //     which drains the scheduler's delta ring and heap WITHOUT releasing
@@ -27,14 +27,13 @@
 //     fault-injection randomness construct a FaultPlan(ctx.spec().seed)
 //     inside the body: plan RNG is then per-run, not per-worker.
 //
-//   * One fold. Every run leaves one RunRecord (result, report snapshot,
-//     the registry its body wrote, sampled timeline); CampaignOutcome::fold
-//     merges the records in run-index order (Registry::merge /
-//     Report::merge / TimeSeriesStore::merge), so the merged JSON is
-//     independent of worker count. The campaignd transports fold the same
-//     records through the same CampaignOutcome. Coverage is merged on the
-//     caller's side (metrics::Coverage::merge) because mts_sim cannot link
-//     mts_metrics' attachers.
+//   * One run book. Every run leaves one RunRecord (result, report
+//     snapshot, the registry its body wrote, sampled timeline) in its
+//     RunBook slot; RunBook::fold merges them in run-index order, so the
+//     merged JSON is independent of worker count. The campaignd transports
+//     (run_local, the process fleet) run the same book. Coverage is merged
+//     on the caller's side (metrics::Coverage::merge) because mts_sim
+//     cannot link mts_metrics' attachers.
 //
 // The body runs on pool threads: it must only touch the CampaignContext,
 // its per-run locals, and read-only captures (per-worker slots indexed by
@@ -297,10 +296,9 @@ struct RunShard {
   std::unique_ptr<Observability> obs;  ///< the engine-armed bundle
 };
 
-/// Everything one run leaves for the campaign fold. Every transport
-/// produces these -- Campaign's pool threads, campaignd::run_local and the
-/// campaignd worker processes (which ship them as snapshot records) -- and
-/// CampaignOutcome::fold consumes them.
+/// Everything one run leaves for the campaign fold, filled in place in its
+/// RunBook slot by every transport (the campaignd coordinator decodes the
+/// snapshot records its worker processes ship).
 struct RunRecord {
   RunResult result;
   /// The run's Report with the kernel pool high-water zeroed: arena
@@ -314,9 +312,8 @@ struct RunRecord {
   metrics::TimeSeriesStore timeline;
 };
 
-/// The campaign fold: run records merged in run-index order, plus the
-/// matrix shape and host figures the artifacts render. sim::Campaign keeps
-/// one; campaignd::Coordinator::Outcome extends it.
+/// RunBook::fold's product, plus the host figures the artifacts render.
+/// sim::Campaign keeps one; campaignd::Coordinator::Outcome extends it.
 struct CampaignOutcome {
   std::size_t configs = 0;
   std::size_t reps = 0;
@@ -338,19 +335,6 @@ struct CampaignOutcome {
   unsigned workers = 1;       ///< host section only
   double wall_seconds = 0.0;  ///< host section only
 
-  /// Sets the matrix shape, seed and SLO the artifacts render.
-  void begin(std::size_t configs, std::size_t reps,
-             const CampaignOptions& opt);
-
-  /// Folds the next run in run-index order (the result moves in; the
-  /// report, registry and timeline merge).
-  void fold(RunRecord&& rec);
-
-  /// After the last fold: appends the failure and SLO manifests -- one
-  /// report entry per failed / SLO-breaching run, in run-index order --
-  /// and records the quarantined configs.
-  void finish(std::vector<std::size_t> quarantined);
-
   /// The campaign-level JSON artifact: matrix shape + seed, per-run
   /// results in index order, and the merged report/metrics. With
   /// include_host_stats=false the volatile host section (worker count,
@@ -364,6 +348,69 @@ struct CampaignOutcome {
   /// derived from `results`, so it is byte-identical across worker counts.
   /// include_host_stats=true appends the volatile host section.
   std::string health_json(bool include_host_stats = false) const;
+};
+
+/// One campaign's run list and the policy every transport applies to it:
+/// which runs execute, which ones config quarantine skips, which failures
+/// count, and the run-index-order fold. A transport turns listed indices
+/// into records, in any order, on any thread --
+///   if (book.admit(i)) { run_step(..., book.slot(i)); book.file(i); }
+/// -- and folds after the last file. admit, slot, skip and file may run
+/// concurrently for different runs.
+class RunBook {
+ public:
+  /// A `configs` x `reps` matrix under `opt`. An empty `filter` lists
+  /// every run; otherwise it is sorted and deduplicated, and an index
+  /// outside the matrix throws ConfigError.
+  RunBook(std::size_t configs, std::size_t reps, const CampaignOptions& opt,
+          std::vector<std::size_t> filter = {});
+  RunBook(const RunBook&) = delete;
+  RunBook& operator=(const RunBook&) = delete;
+
+  std::size_t configs() const noexcept { return configs_; }
+  std::size_t reps() const noexcept { return reps_; }
+  /// The listed run indices, ascending.
+  const std::vector<std::size_t>& runs() const noexcept { return runs_; }
+  bool listed(std::size_t index) const noexcept;
+
+  // Each member below throws ConfigError for an unlisted index.
+  bool filed(std::size_t index) const;
+  /// Run `index`'s record, filled in place by its executor.
+  RunRecord& slot(std::size_t index);
+  /// The config-quarantine gate. False once the run's config has burned
+  /// its failure budget: the book has then filed the skip record itself.
+  bool admit(std::size_t index);
+  /// Writes the record of a run that will not execute into its slot --
+  /// attempts == 0, classification "quarantined", `error` -- unfiled.
+  RunResult& skip(std::size_t index, std::string error);
+  /// Marks the slot complete (filing twice throws ConfigError). Only an
+  /// executed failure (attempts > 0) counts against its config.
+  void file(std::size_t index);
+
+  /// Listed runs not yet filed.
+  std::size_t remaining() const noexcept { return remaining_.load(); }
+  /// The configs whose failure budget is burned, ascending.
+  std::vector<std::size_t> quarantined_configs() const;
+
+  /// Folds the filed slots into `out` in run-index order (results move;
+  /// reports, registries, timelines merge), then appends the failure and
+  /// SLO manifests (one report entry per failed / breaching run) and sets
+  /// the quarantined configs, matrix shape, seed and SLO. Call once: it
+  /// releases the slots.
+  void fold(CampaignOutcome& out);
+
+ private:
+  std::size_t position(std::size_t index) const;
+  bool burned(std::size_t config) const noexcept;
+
+  std::size_t configs_;
+  std::size_t reps_;
+  CampaignOptions opt_;
+  std::vector<std::size_t> runs_;
+  std::vector<RunRecord> slots_;  ///< one per listed run, same order
+  std::vector<std::atomic<bool>> filed_;
+  std::vector<std::atomic<std::uint32_t>> failures_;  ///< per config
+  std::atomic<std::size_t> remaining_;
 };
 
 class Campaign {
@@ -381,11 +428,11 @@ class Campaign {
   Campaign(const Campaign&) = delete;
   Campaign& operator=(const Campaign&) = delete;
 
-  std::size_t configs() const noexcept { return out_.configs; }
-  std::size_t reps() const noexcept { return out_.reps; }
-  std::size_t runs() const noexcept { return out_.configs * out_.reps; }
+  std::size_t configs() const noexcept { return book_.configs(); }
+  std::size_t reps() const noexcept { return book_.reps(); }
+  std::size_t runs() const noexcept { return configs() * reps(); }
   unsigned workers() const noexcept { return out_.workers; }
-  std::uint64_t seed() const noexcept { return out_.seed; }
+  std::uint64_t seed() const noexcept { return opt_.seed; }
 
   /// Executes every cell of the matrix across the pool and folds the run
   /// records. Blocks until all runs finish. May be called once.
@@ -447,77 +494,29 @@ class Campaign {
   }
 
  private:
-  void worker_loop(std::vector<RunRecord>& records, RunShard& w,
-                   unsigned worker_index, const Body& body);
-
   CampaignOptions opt_;
   bool ran_ = false;
+  RunBook book_;
   CampaignOutcome out_;
-
-  // Work distribution: pool threads claim run indices from this cursor,
-  // which also holds the config-quarantine ledger (campaign.cpp-local type).
-  struct Cursor;
-  Cursor* cursor_ = nullptr;
 };
 
-// -- the per-run step and its policy (shared with src/campaignd) ------------
-//
-// Campaign::run, the campaignd in-process oracle (run_local), its worker
-// processes and its coordinator all apply these, so a run's spec, its
-// quarantine skip record and its post-failure bookkeeping are the same
-// whichever transport executes it.
+// -- the per-run step (shared with src/campaignd) ---------------------------
 
 /// Run `index` of a row-major matrix with `reps` replicas per config, under
 /// campaign seed `campaign_seed`.
 RunSpec campaign_run_spec(std::uint64_t campaign_seed, std::size_t reps,
                           std::size_t index) noexcept;
 
-/// Per-config finally-failed run counts behind config quarantine
-/// (CampaignOptions::quarantine_after; 0 turns every member into a no-op).
-/// Counts are relaxed atomics: pool threads count and gate concurrently.
-class ConfigLedger {
- public:
-  ConfigLedger(std::size_t configs, unsigned quarantine_after);
-
-  /// True once `config` has burned its failure budget: its remaining runs
-  /// are skipped (quarantined_run) instead of executed.
-  bool quarantined(std::size_t config) const noexcept;
-  void count_failure(std::size_t config) noexcept;
-  /// The quarantined configs, ascending.
-  std::vector<std::size_t> quarantined_configs() const;
-
- private:
-  unsigned after_;
-  std::vector<std::atomic<std::uint32_t>> failures_;
-};
-
-/// The whole step for run `index` of a `configs` x `reps` matrix, on a
-/// fresh `rec`: builds the spec, skips the run (quarantined_run) when its
-/// config is quarantined in `ledger`, otherwise executes every attempt on
-/// `shard` -- same-seed retries with flaky/deterministic classification,
-/// per-attempt watchdog deadline, violation hub, engine telemetry and SLO
-/// verdicts -- and then applies handle_failed_run. `ledger` may be
-/// nullptr: the caller keeps the ledger elsewhere (a campaignd worker; its
-/// coordinator gates before dispatch). Touches no state outside the shard,
-/// `rec`, the ledger and the repro/timeline directories, which is what
-/// lets a campaignd worker process produce bit-identical runs to the
-/// in-process pool. Returns false when the run was skipped.
-bool run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
+/// Executes run `index` of a `configs` x `reps` matrix into a fresh `rec`
+/// on `shard`: every attempt -- same-seed retries with flaky/deterministic
+/// classification, per-attempt watchdog deadline, violation hub, engine
+/// telemetry and SLO verdicts -- then, for a finally-failed run, the repro
+/// bundle (opt.repro_dir). Touches no state outside the shard, `rec` and
+/// the repro directory, which is what lets a campaignd worker process
+/// produce bit-identical runs to the in-process pool.
+void run_step(RunShard& shard, const CampaignOptions& opt, std::size_t configs,
               std::size_t reps, std::size_t index, unsigned worker_index,
-              const Campaign::Body& body, ConfigLedger* ledger,
-              RunRecord& rec);
-
-/// The skip record for a run of a quarantined config: not executed
-/// (attempts == 0), classification "quarantined".
-RunResult quarantined_run(const RunSpec& spec, unsigned quarantine_after);
-
-/// The step after every executed run. A failed run counts against its
-/// config in `ledger` (nullptr: the caller keeps the ledger elsewhere), then
-/// writes its repro bundle when opt.repro_dir is set. A passing run is left
-/// untouched.
-void handle_failed_run(const CampaignOptions& opt, std::size_t configs,
-                       std::size_t reps, const RunSpec& spec,
-                       RunResult& result, ConfigLedger* ledger);
+              const Campaign::Body& body, RunRecord& rec);
 
 /// Writes <dir>/run-<index>.json -- the self-contained repro bundle
 /// (coordinates incl. matrix shape, seeds, failure, scalars, violations)

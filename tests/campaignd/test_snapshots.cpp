@@ -351,6 +351,16 @@ TEST(CampaigndSnapshots, JobDigestSensitivity) {
   opt2.seed = 43;
   EXPECT_NE(base, campaignd::job_digest(3, 2, opt2, "fifo_soak",
                                         "{\"cycles\":8}"));
+
+  // A run_filter's run list is part of the job; the whole matrix keeps
+  // its digest, so existing full-matrix checkpoints still resume.
+  EXPECT_EQ(base, campaignd::job_digest(3, 2, opt, "fifo_soak",
+                                        "{\"cycles\":8}", {}));
+  const std::string some =
+      campaignd::job_digest(3, 2, opt, "fifo_soak", "{\"cycles\":8}", {4, 5});
+  EXPECT_NE(base, some);
+  EXPECT_NE(some, campaignd::job_digest(3, 2, opt, "fifo_soak",
+                                        "{\"cycles\":8}", {0, 1, 2, 3}));
 }
 
 TEST(CampaigndSnapshots, MalformedSnapshotsRejected) {

@@ -2,8 +2,9 @@
 // and disconnected mid-campaign, and the merged artifacts must stay
 // byte-identical to the sequential in-process oracle (run_local). Also
 // covers graceful shutdown + resume, quarantine (per unit, and per config
-// against sim::Campaign), degradation, run_filter validation, repro-bundle
-// replay through a worker process and the CLI's numeric-flag errors.
+// against sim::Campaign), degradation, run_filter validation, resuming
+// under another run list, repro-bundle replay through a worker process and
+// the CLI's numeric-flag errors and usage text.
 //
 // Worker processes are fork/exec'd from the mts_campaignd CLI binary; its
 // path is baked in at configure time (MTS_CAMPAIGND_BIN_DEFAULT) and can be
@@ -18,13 +19,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "campaignd/checkpoint.hpp"
 #include "campaignd/coordinator.hpp"
 #include "campaignd/json.hpp"
 #include "campaignd/workload.hpp"
@@ -531,6 +536,36 @@ TEST(CampaigndPolicy, HostWorkersReportsTheSpawnedFleet) {
   EXPECT_NE(engine.to_json(true).find(want), std::string::npos);
 }
 
+TEST(CampaigndPolicy, ResumeUnderAnotherRunListIsRejected) {
+  REQUIRE_WORKER_BIN();
+  const std::string ckpt = temp_name("runlist_ckpt") + ".json";
+  JobSpec other = small_job();  // 2 x 3: indices 0..5
+  other.run_filter = {4, 5};
+  CoordinatorOptions ropt = fast_opts(1);
+  ropt.checkpoint_path = ckpt;
+  ropt.resume = true;
+  // A complete checkpoint of the whole matrix, then of runs 0-3: neither
+  // holds runs 4 and 5, so resuming either under {4, 5} must refuse.
+  for (const std::vector<std::size_t>& first :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{0, 1, 2, 3}}) {
+    std::remove(ckpt.c_str());
+    JobSpec job = small_job();
+    job.run_filter = first;
+    CoordinatorOptions opt = fast_opts(1);
+    opt.checkpoint_path = ckpt;
+    Coordinator::Outcome done;
+    Coordinator coord(job, opt);
+    coord.run(done);
+    ASSERT_EQ(done.results.size(), first.empty() ? 6u : 4u);
+
+    Coordinator::Outcome resumed;
+    Coordinator rcoord(other, ropt);
+    EXPECT_THROW(rcoord.run(resumed), campaignd::CheckpointError)
+        << first.size() << "-run filter";
+  }
+  std::remove(ckpt.c_str());
+}
+
 // -- CLI: bad numeric input is a usage error --------------------------------
 
 TEST(CampaigndCli, BadNumericFlagsExitWithUsage) {
@@ -559,5 +594,33 @@ TEST(CampaigndCli, BadNumericFlagsExitWithUsage) {
     EXPECT_EQ(run(args, line), 2) << args;
     EXPECT_NE(line.find(want), std::string::npos) << args << ": " << line;
   }
+  std::remove(err.c_str());
+}
+
+TEST(CampaigndCli, UsageNamesEveryFlag) {
+  REQUIRE_WORKER_BIN();
+  const std::string err = temp_name("cli_usage") + ".txt";
+  const int rc = std::system((worker_bin() + " 2> " + err).c_str());
+  EXPECT_EQ(WEXITSTATUS(rc), 2);
+  std::ifstream in(err);
+  const std::string usage((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::set<std::string> named;
+  const std::regex flag("--[a-z][a-z-]*");
+  for (auto it = std::sregex_iterator(usage.begin(), usage.end(), flag);
+       it != std::sregex_iterator(); ++it) {
+    named.insert(it->str());
+  }
+  // Every flag parse_cli accepts.
+  const std::set<std::string> accepted = {
+      "--workload", "--params", "--configs", "--reps", "--seed",
+      "--max-attempts", "--quarantine-after", "--repro-dir",
+      "--collect-violations", "--telemetry-interval", "--run-deadline-sec",
+      "--workers", "--unit-size", "--checkpoint", "--checkpoint-every",
+      "--resume", "--retries", "--heartbeat-ms", "--heartbeat-timeout-ms",
+      "--progress-timeout-ms", "--backoff-ms", "--backoff-max-ms",
+      "--respawn-limit", "--chaos", "--worker-bin", "--local", "--out",
+      "--health", "--host-stats", "--events", "--port"};
+  EXPECT_EQ(named, accepted) << usage;
   std::remove(err.c_str());
 }

@@ -43,11 +43,15 @@ namespace json = mts::campaignd::json;
       "                        [--seed N] [--workers N] [--unit-size N]\n"
       "                        [--max-attempts N] [--quarantine-after N]"
       " [--repro-dir D]\n"
+      "                        [--collect-violations] [--telemetry-interval N]"
+      " [--run-deadline-sec S]\n"
       "                        [--checkpoint FILE] [--checkpoint-every N]"
       " [--resume]\n"
       "                        [--retries N] [--heartbeat-ms N]"
       " [--heartbeat-timeout-ms N]\n"
-      "                        [--progress-timeout-ms N] [--respawn-limit N]\n"
+      "                        [--progress-timeout-ms N] [--backoff-ms N]"
+      " [--backoff-max-ms N]\n"
+      "                        [--respawn-limit N]\n"
       "                        [--chaos JSON] [--worker-bin PATH] [--local]\n"
       "                        [--out FILE] [--health FILE] [--host-stats]"
       " [--events]\n"
