@@ -6,10 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/report.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulation.hpp"
 
 namespace mts::bfm {
@@ -38,8 +38,7 @@ class Scoreboard {
                             " from an empty expectation queue");
       return;
     }
-    const std::uint64_t want = expected_.front();
-    expected_.pop_front();
+    const std::uint64_t want = expected_.pop_front();
     if (value != want) {
       ++errors_;
       sim_.report().add(sim_.now(), sim::Severity::kError, "scoreboard",
@@ -56,7 +55,9 @@ class Scoreboard {
  private:
   sim::Simulation& sim_;
   std::string name_;
-  std::deque<std::uint64_t> expected_;
+  /// Values in flight, oldest first. The ring recycles its slots, so a
+  /// steady stream of push/pop_check allocates nothing.
+  sim::RingBuffer<std::uint64_t> expected_;
   std::uint64_t pushed_ = 0;
   std::uint64_t popped_ = 0;
   std::uint64_t errors_ = 0;

@@ -22,8 +22,12 @@
 namespace mts::sim {
 
 /// 40 inline bytes + the vtable pointer keeps sizeof(InplaceFunction) at 48,
-/// so a scheduler Event (time + seq + callback) is exactly one cache line.
-/// Still roomy enough for a whole std::function (32 bytes on libstdc++).
+/// so a scheduler pool slot (callback + profiler site + free-list link) and
+/// a delta-ring entry (callback + site) are each 64 bytes, one cache line's
+/// worth.
+/// The future-event heap sifts 16-byte keys, so the callback size no longer
+/// sets the cost of a sift. Still roomy enough for a whole std::function
+/// (32 bytes on libstdc++).
 inline constexpr std::size_t kCallbackInlineSize = 40;
 
 /// Tag for the argument-dropping constructor: stores a nullary callable in a

@@ -30,8 +30,10 @@ struct KernelStats {
   std::uint64_t events_executed = 0;
   /// Maximum number of simultaneously pending events (delta ring + heap).
   std::size_t peak_queue_depth = 0;
-  /// Event slots ever allocated (ring capacity + heap capacity): the pool
-  /// high-water mark. Constant once the workload reaches steady state.
+  /// Event slots ever allocated (delta-ring capacity + future-key heap
+  /// capacity): the pool high-water mark. Constant once the workload
+  /// reaches steady state. The future-callback pool is not counted; it
+  /// grows to the peak number of simultaneously pending future events.
   std::size_t pool_high_water = 0;
   /// Hottest callback sites (profiler armed only), sorted by wall time
   /// descending; at most KernelProfiler::kTopN rows.

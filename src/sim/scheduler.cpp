@@ -22,27 +22,46 @@ void Scheduler::run_one_from_ring() {
 }
 
 void Scheduler::run_one_from_heap() {
-  if (heap_.size() > 1) std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event e = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = e.t;
+  const Key k = pop_key();
+  // Move the callback out once and recycle its slot before invoking: the
+  // callback may schedule new events and grow the pool while running.
+  Slot& s = pool_[k.slot()];
+  Callback cb = std::move(s.cb);
+  const KernelProfiler::SiteId site = s.site;
+  free_slot(k.slot());
+  now_ = k.t;
   events_at_now_ = 1;
-  // Scheduling order: siblings at this timestamp (larger seq than e) enter
-  // the delta ring before e runs, so e's zero-delay children -- appended to
-  // the ring during execution -- land after them. The common case (no
+  // Scheduling order: siblings at this timestamp (larger seq than k) enter
+  // the delta ring before cb runs, so cb's zero-delay children -- appended
+  // to the ring during execution -- land after them. The common case (no
   // sibling) skips the ring entirely.
-  while (!heap_.empty() && heap_.front().t == e.t) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event& sib = heap_.back();
-    ring_.push_back(RingEvent{std::move(sib.cb), sib.site});
-    heap_.pop_back();
+  while (!heap_.empty() && heap_.front().t == k.t) {
+    const std::uint32_t sib = pop_key().slot();
+    ring_.push_back(RingEvent{std::move(pool_[sib].cb), pool_[sib].site});
+    free_slot(sib);
   }
   ++stats_.events_executed;
   if (profiler_ == nullptr) {
-    e.cb();
+    cb();
   } else {
-    run_profiled(e.cb, e.site);
+    run_profiled(cb, site);
   }
+}
+
+void Scheduler::grow_pool() {
+  if (pool_.size() == kMaxFutureEvents) {
+    throw SimulationError("more than " + std::to_string(kMaxFutureEvents) +
+                          " future events pending at t=" + format_time(now_));
+  }
+  pool_.emplace_back();
+  free_head_ = static_cast<std::uint32_t>(pool_.size() - 1);
+}
+
+void Scheduler::renumber_keys() {
+  std::sort(heap_.begin(), heap_.end(),
+            [](const Key& a, const Key& b) { return Later{}(b, a); });
+  next_seq_ = 0;
+  for (Key& k : heap_) k.seq_slot = next_seq_++ << kSlotBits | k.slot();
 }
 
 void Scheduler::run_profiled(Callback& cb, KernelProfiler::SiteId site) {
@@ -106,11 +125,17 @@ std::size_t Scheduler::run(std::size_t max_events) {
 }
 
 void Scheduler::reset() {
-  // Drain (not reallocate) both levels: RingBuffer::clear and
+  // Drain (not reallocate) every level: RingBuffer::clear and
   // vector::clear keep their grown storage, so a campaign worker's second
-  // run schedules into warm arenas.
+  // run schedules into warm arenas. Pending callbacks are destroyed and the
+  // free list is rebuilt over the whole pool in slot order.
   ring_.clear();
   heap_.clear();
+  free_head_ = kNoSlot;
+  for (std::size_t i = pool_.size(); i-- > 0;) {
+    pool_[i].cb.reset();
+    free_slot(static_cast<std::uint32_t>(i));
+  }
   now_ = 0;
   next_seq_ = 0;
   events_at_now_ = 0;

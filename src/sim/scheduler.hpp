@@ -2,16 +2,30 @@
 //
 // Two-level queue: a FIFO "delta ring" holds events at the current
 // timestamp (the dominant case -- zero-delay gate writes and delta cycles),
-// and a binary min-heap of (time, sequence) holds future events. When the
-// ring drains, the earliest heap timestamp is promoted: every heap event at
-// that time moves into the ring in scheduling order before any of them runs,
-// so same-timestamp events always execute in scheduling order regardless of
-// which level they entered through. This gives the kernel deterministic
-// delta-cycle semantics: a zero-delay write scheduled while processing time
-// T runs later within T, never "before" already-pending work.
+// and a 4-ary min-heap of (time, sequence) keys holds future events. When
+// the ring drains, the earliest heap timestamp is promoted: every heap event
+// at that time moves into the ring in scheduling order before any of them
+// runs, so same-timestamp events always execute in scheduling order
+// regardless of which level they entered through. This gives the kernel
+// deterministic delta-cycle semantics: a zero-delay write scheduled while
+// processing time T runs later within T, never "before" already-pending
+// work.
 //
-// Callbacks are small-buffer-optimized (sim/callback.hpp) and both levels
-// recycle their storage, so the steady-state hot loop performs zero heap
+// The future level is split in two. The heap holds only 16-byte keys
+// {time, seq << 24 | slot}; the callbacks stay put in a slot pool whose
+// free list runs through the slots (the same shape as Signal's transaction
+// pool). A sift therefore moves keys, never a callback: a callback is built
+// once, in place, in its slot, and moved exactly once more -- out of the
+// slot when it runs, or into the ring when it is promoted as a sibling.
+// The packed key has two limits:
+//   - at most kMaxFutureEvents (2^24) future events pending at once; the
+//     next at()/after() into the future raises SimulationError;
+//   - sequence numbers run out after kSeqLimit (2^40) future events since
+//     construction/reset(); the pending keys are then renumbered in
+//     (time, seq) order, which changes no execution order.
+//
+// Callbacks are small-buffer-optimized (sim/callback.hpp) and every level
+// recycles its storage, so the steady-state hot loop performs zero heap
 // allocations per event.
 //
 // A per-timestamp event budget guards against combinational oscillation
@@ -19,9 +33,9 @@
 // SimulationError instead of hanging the process.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -78,10 +92,22 @@ class Scheduler {
       // order.
       ring_.push_back(RingEvent{Callback(std::forward<F>(f)), site});
     } else {
-      heap_.emplace_back(t, next_seq_++, site, std::forward<F>(f));
-      // A singleton heap is already a heap; skip the sift (the dominant
-      // case for self-rescheduling chains).
-      if (heap_.size() > 1) std::push_heap(heap_.begin(), heap_.end(), Later{});
+      if (free_head_ == kNoSlot) grow_pool();
+      const std::uint32_t slot = free_head_;
+      Slot& s = pool_[slot];
+      // A free slot holds an empty Callback, so the callable is built
+      // straight over it: no temporary, no move-assignment. On a throw the
+      // slot is restored to empty and stays on the free list.
+      try {
+        ::new (static_cast<void*>(&s.cb)) Callback(std::forward<F>(f));
+      } catch (...) {
+        ::new (static_cast<void*>(&s.cb)) Callback();
+        throw;
+      }
+      s.site = site;
+      free_head_ = s.next_free;
+      if (next_seq_ == kSeqLimit) renumber_keys();
+      push_key(Key{t, next_seq_++ << kSlotBits | slot});
     }
     note_push();
   }
@@ -112,11 +138,12 @@ class Scheduler {
   void set_timestamp_budget(std::size_t budget) { timestamp_budget_ = budget; }
 
   /// Returns the scheduler to its just-constructed state -- time 0, empty
-  /// queues, zeroed health counters -- while KEEPING the delta ring's and
-  /// heap's grown storage, so the next run is allocation-free from its
-  /// first event. Pending callbacks are destroyed. The armed profiler (if
-  /// any) is kept; the timestamp budget is kept. This is the campaign
-  /// engine's per-run arena-reuse hook (sim/campaign.hpp).
+  /// queues, zeroed health counters -- while KEEPING the grown storage of
+  /// the delta ring, the key heap and the callback pool, so the next run is
+  /// allocation-free from its first event. Pending callbacks are destroyed.
+  /// The armed profiler (if any) is kept; the timestamp budget is kept.
+  /// This is the campaign engine's per-run arena-reuse hook
+  /// (sim/campaign.hpp).
   void reset();
 
   /// Arms (nullptr: disarms) wall-time profiling of event dispatch. The
@@ -151,24 +178,96 @@ class Scheduler {
   static constexpr std::size_t kDefaultRunBudget = 500'000'000;
 
  private:
+  friend struct SchedulerTestAccess;
+
+  /// Bits of a future-event key that hold the pool slot; the other 40
+  /// hold the scheduling sequence number.
+  static constexpr unsigned kSlotBits = 24;
+  /// Future events that may be pending at once.
+  static constexpr std::size_t kMaxFutureEvents = std::size_t{1} << kSlotBits;
+  /// Future events scheduled (since construction or reset()) before the
+  /// pending keys are renumbered.
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
+                                             << (64 - kSlotBits);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
   struct RingEvent {
     Callback cb;
     KernelProfiler::SiteId site = 0;
   };
-  struct Event {
-    template <typename F>
-    Event(Time time, std::uint64_t sequence, KernelProfiler::SiteId s, F&& f)
-        : t(time), seq(sequence), site(s), cb(std::forward<F>(f)) {}
+  /// A future event's heap entry: `seq_slot` packs the scheduling sequence
+  /// number above the pool slot index. Sequence numbers are unique, so the
+  /// slot bits never decide a comparison.
+  struct Key {
     Time t = 0;
-    std::uint64_t seq = 0;
-    KernelProfiler::SiteId site = 0;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+    std::uint64_t seq_slot = 0;
+    std::uint32_t slot() const noexcept {
+      return static_cast<std::uint32_t>(seq_slot & (kMaxFutureEvents - 1));
     }
   };
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.t != b.t ? a.t > b.t : a.seq_slot > b.seq_slot;
+    }
+  };
+  /// A future event's callback; free slots hold an empty Callback and link
+  /// through `next_free`.
+  struct Slot {
+    Callback cb;
+    KernelProfiler::SiteId site = 0;
+    std::uint32_t next_free = kNoSlot;
+  };
+
+  /// Appends one slot and makes it the free-list head. Raises
+  /// SimulationError once the pool holds kMaxFutureEvents slots.
+  void grow_pool();
+
+  /// Returns `slot` (whose callback has been moved out) to the free list.
+  void free_slot(std::uint32_t slot) noexcept {
+    pool_[slot].next_free = free_head_;
+    free_head_ = slot;
+  }
+
+  /// 4-ary heap on Later, hole-based: a sift moves 16-byte keys only.
+  void push_key(Key k) {
+    std::size_t i = heap_.size();
+    heap_.push_back(k);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (!Later{}(heap_[parent], k)) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = k;
+  }
+
+  /// Removes and returns the earliest key. Precondition: heap non-empty.
+  Key pop_key() noexcept {
+    const Key top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      const std::size_t end = first + 4 < n ? first + 4 : n;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (Later{}(heap_[best], heap_[c])) best = c;
+      }
+      if (!Later{}(last, heap_[best])) break;
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    heap_[i] = last;
+    return top;
+  }
+
+  /// Reassigns sequence numbers 0..n-1 to the pending keys in (time, seq)
+  /// order; a sorted array is already a valid heap.
+  void renumber_keys();
 
   /// Pops and runs the front delta-ring event (which is at now()).
   void run_one_from_ring();
@@ -198,7 +297,9 @@ class Scheduler {
   }
 
   RingBuffer<RingEvent> ring_;  ///< events at now(), FIFO order
-  std::vector<Event> heap_;     ///< future events, min-heap via Later
+  std::vector<Key> heap_;       ///< future event keys, 4-ary min-heap
+  std::vector<Slot> pool_;      ///< future event callbacks, by key slot
+  std::uint32_t free_head_ = kNoSlot;  ///< free-list head into pool_
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t events_at_now_ = 0;

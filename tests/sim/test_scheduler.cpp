@@ -2,11 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace mts::sim {
+
+/// Reaches the packed key's sequence counter, so the renumbering path runs
+/// without scheduling 2^40 events first.
+struct SchedulerTestAccess {
+  static constexpr std::uint64_t kSeqLimit = Scheduler::kSeqLimit;
+  static std::uint64_t next_seq(const Scheduler& s) { return s.next_seq_; }
+  static void set_next_seq(Scheduler& s, std::uint64_t v) { s.next_seq_ = v; }
+};
+
 namespace {
 
 TEST(Scheduler, StartsAtTimeZero) {
@@ -227,6 +240,254 @@ TEST(Scheduler, ResetDropsPendingWorkButKeepsArenas) {
   EXPECT_EQ(refill_fires, 32);
   EXPECT_EQ(s.stats().events_executed, 32u);
   EXPECT_LE(s.stats().pool_high_water, grown_pool);
+}
+
+// The order contract in its simplest form: every event runs in (time,
+// scheduling sequence) order, whichever queue level holds it.
+class ReferenceQueue {
+ public:
+  Time now() const { return now_; }
+  std::size_t pending() const { return queue_.size(); }
+  template <typename F>
+  void at(Time t, F&& f) {
+    queue_.emplace(std::make_pair(t, seq_++), std::function<void()>(f));
+  }
+  template <typename F>
+  void after(Time delay, F&& f) {
+    at(now_ + delay, std::forward<F>(f));
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    const auto first = queue_.begin();
+    now_ = first->first.first;
+    std::function<void()> f = std::move(first->second);
+    queue_.erase(first);
+    f();
+    return true;
+  }
+  void run_until(Time t) {
+    while (!queue_.empty() && queue_.begin()->first.first <= t) step();
+    if (now_ < t) now_ = t;
+  }
+  std::size_t run(std::size_t max_events) {
+    std::size_t n = 0;
+    while (n < max_events && step()) ++n;
+    return n;
+  }
+  void reset() {
+    queue_.clear();
+    now_ = 0;
+    seq_ = 0;
+  }
+
+ private:
+  std::map<std::pair<Time, std::uint64_t>, std::function<void()>> queue_;
+  Time now_ = 0;
+  std::uint64_t seq_ = 0;
+};
+
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 31;
+  x *= 0x9e3779b97f4a7c15ull;
+  return x ^ (x >> 29);
+}
+
+/// Seeded random traffic for a queue Q. Events are numbered in scheduling
+/// order; each one logs (id, now) when it runs and schedules children
+/// chosen by its own id only, so two queues that run events in the same
+/// order produce identical logs, and the first misordered event shows.
+template <typename Q>
+class Traffic {
+ public:
+  Traffic(Q& q, std::uint64_t seed) : q_(q), seed_(seed) {}
+
+  struct Fire {
+    Traffic* tr;
+    std::uint64_t id;
+    void operator()() const { tr->fire(id); }
+  };
+  /// Too big for the inline buffer: exercises the heap-cell payload.
+  struct BigFire {
+    Traffic* tr;
+    std::uint64_t id;
+    std::array<std::uint64_t, 8> pad{};
+    void operator()() const { tr->fire(id); }
+  };
+
+  /// Schedules one event; `r` picks the delay, the entry point and the
+  /// callable's storage class. Zero and small delays dominate so same-time
+  /// siblings meet on both queue levels.
+  void schedule(std::uint64_t r) {
+    const std::uint64_t id = next_id_++;
+    const std::uint64_t pick = r % 10;
+    const Time delay = pick < 3 ? 0 : pick < 8 ? 1 + (r >> 8) % 3 : (r >> 8) % 200;
+    const Time t = q_.now() + delay;
+    switch ((r >> 16) % 4) {
+      case 0: q_.at(t, Fire{this, id}); break;
+      case 1: q_.after(delay, Fire{this, id}); break;
+      case 2: q_.at(t, BigFire{this, id}); break;
+      default:
+        q_.after(delay, std::function<void()>(Fire{this, id}));
+        break;
+    }
+  }
+
+  void fire(std::uint64_t id) {
+    log.emplace_back(id, q_.now());
+    std::uint64_t r = mix(seed_ ^ (id * 0x2545f4914f6cdd1dull));
+    const std::uint64_t children = next_id_ < kMaxEvents ? r % 3 : 0;
+    for (std::uint64_t i = 0; i < children; ++i) {
+      r = mix(r + i + 1);
+      schedule(r);
+    }
+  }
+
+  std::vector<std::pair<std::uint64_t, Time>> log;
+
+ private:
+  static constexpr std::uint64_t kMaxEvents = 20'000;
+  Q& q_;
+  std::uint64_t seed_;
+  std::uint64_t next_id_ = 0;
+};
+
+/// One seeded mix of bursts, step(), run(n), run_until horizons and a
+/// mid-run reset(); the log records every event plus now() and pending()
+/// after each operation.
+template <typename Q>
+std::vector<std::pair<std::uint64_t, Time>> drive(std::uint64_t seed) {
+  Q q;
+  Traffic<Q> tr(q, seed);
+  std::uint64_t r = mix(seed);
+  auto note = [&] {
+    tr.log.emplace_back(~std::uint64_t{0} - q.pending(), q.now());
+  };
+  for (int op = 0; op < 400; ++op) {
+    r = mix(r + static_cast<std::uint64_t>(op));
+    switch (r % 8) {
+      case 0:
+      case 1:
+      case 2: {
+        const std::uint64_t burst = 1 + (r >> 8) % 6;
+        for (std::uint64_t i = 0; i < burst; ++i) tr.schedule(mix(r + i));
+        break;
+      }
+      case 3:
+      case 4:
+        for (std::uint64_t i = 0; i < 1 + (r >> 8) % 8; ++i) q.step();
+        break;
+      case 5:
+        q.run_until(q.now() + (r >> 8) % 64);
+        break;
+      case 6:
+        q.run(1 + (r >> 8) % 50);
+        break;
+      default:
+        q.run_until(q.now());
+        break;
+    }
+    if (op == 200) q.reset();
+    note();
+  }
+  if (r % 2 == 0) q.reset();
+  q.run(Scheduler::kDefaultRunBudget);
+  note();
+  return tr.log;
+}
+
+TEST(Scheduler, MatchesTimeSequenceReferenceOnSeededTraffic) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto want = drive<ReferenceQueue>(seed);
+    const auto got = drive<Scheduler>(seed);
+    ASSERT_GT(want.size(), 400u) << "seed " << seed;
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " entry " << i;
+    }
+  }
+}
+
+// A running callback lives outside the pool: one that schedules enough
+// future events to grow (reallocate) the pool must still read its own
+// captures afterwards.
+TEST(Scheduler, CallbackMayGrowThePoolWhileRunning) {
+  Scheduler s;
+  std::vector<std::uint64_t> seen;
+  std::uint64_t fired = 0;
+  struct Grower {
+    Scheduler* s;
+    std::vector<std::uint64_t>* seen;
+    std::uint64_t* fired;
+    std::uint64_t a, b;
+    void operator()() const {
+      for (int i = 0; i < 5000; ++i) {
+        s->after(1 + static_cast<Time>(i % 97), [f = fired] { ++*f; });
+      }
+      seen->push_back(a);
+      seen->push_back(b);
+    }
+  };
+  static_assert(sizeof(Grower) <= kCallbackInlineSize);
+  s.at(3, Grower{&s, &seen, &fired, 0x1234, 0x5678});
+  s.run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0x1234, 0x5678}));
+  EXPECT_EQ(fired, 5000u);
+}
+
+// reset() destroys every pending callback exactly once -- inline, heap-cell
+// and std::function payloads, in the ring and in the future pool -- and the
+// pool serves the next run.
+TEST(Scheduler, ResetDestroysEachPendingCallbackOnce) {
+  struct Tracked {
+    explicit Tracked(int* live) : live(live) { ++*live; }
+    Tracked(const Tracked& o) : live(o.live), pad(o.pad) { ++*live; }
+    ~Tracked() { --*live; }
+    void operator()() const {}
+    int* live;
+    std::array<std::uint64_t, 8> pad{};
+  };
+  static_assert(sizeof(Tracked) > kCallbackInlineSize);
+  int live = 0;
+  auto token = std::make_shared<int>(0);
+  Scheduler s;
+  s.at(1, [&] {
+    s.after(0, Tracked(&live));  // ring
+    for (int i = 0; i < 10; ++i) {
+      s.after(static_cast<Time>(1 + i), Tracked(&live));
+      s.after(static_cast<Time>(1 + i), std::function<void()>([token] {}));
+    }
+  });
+  s.step();
+  EXPECT_EQ(live, 11);
+  EXPECT_EQ(token.use_count(), 11);
+  s.reset();
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(s.empty());
+
+  int hits = 0;
+  for (int i = 0; i < 30; ++i) {
+    s.at(static_cast<Time>(5 + i % 3), [&hits] { ++hits; });
+  }
+  s.run();
+  EXPECT_EQ(hits, 30);
+  EXPECT_EQ(live, 0);
+}
+
+// When the key's sequence field runs out, the pending keys are renumbered
+// in (time, seq) order. The wrap comes after 0, 1, 2: event 2 has sifted
+// above 0, so heap-array order would run 1 before 0.
+TEST(Scheduler, SequenceRenumberingKeepsOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  SchedulerTestAccess::set_next_seq(s, SchedulerTestAccess::kSeqLimit - 3);
+  const Time times[] = {20, 20, 10, 20, 10, 15};
+  for (int i = 0; i < 6; ++i) {
+    s.at(times[i], [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(SchedulerTestAccess::next_seq(s), 6u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 5, 0, 1, 3}));
 }
 
 }  // namespace
