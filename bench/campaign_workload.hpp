@@ -1,5 +1,6 @@
 // Shared campaign workload for the scaling benches: campaignd's fifo_soak
-// workload (a representative mixed-clock FIFO soak, coverage off), sized so
+// workload (a representative mixed-clock FIFO soak; "coverage" off, so no
+// bins are attached to ctx.coverage()), sized so
 // one run is a few milliseconds of host time -- long enough that per-run
 // campaign overhead (reset, dispatch, fold) is a rounding error, short
 // enough that a scaling sweep over {1,2,4,8} workers finishes in seconds.

@@ -1,30 +1,37 @@
-// Crash-consistent campaign checkpoints.
+// Crash-consistent campaign checkpoints: an append-only journal.
 //
-// The coordinator periodically persists every completed run's snapshot
-// record (the same JSON document the worker sent over the wire: RunResult
-// + per-run Report/Registry/Coverage/timeline deltas). `--resume` reloads
-// the file, files those records into the job's sim::RunBook, and the
+// The coordinator journals every filed run's snapshot record (the same
+// JSON document a worker sends over the wire: its sim::RunRecord).
+// `--resume` files those records into the job's sim::RunBook, and the
 // finalize step folds it in run-index order -- so a resumed campaign
 // REPLAYS NOTHING and still renders byte-identical merged artifacts: the
 // fold is a pure function of the per-run records, never of when or in
-// which process they were produced. (Storing folded partial state instead would order the
-// Report entry fold by checkpoint time, which is exactly the placement
-// dependence the engine's run-index-order contract exists to kill.)
+// which process they were produced. (Storing folded partial state instead
+// would order the Report entry fold by checkpoint time, which is exactly
+// the placement dependence the engine's run-index-order contract exists to
+// kill.)
 //
-// Write protocol: serialize to `<path>.tmp`, fsync, rename over `<path>`.
-// A SIGKILL between any two steps leaves either the old complete file or
-// the new complete file -- never a torn one. The header pins the matrix
-// shape and a job digest (snapshots.hpp); load_checkpoint rejects a file
-// from a different job with CheckpointError rather than folding apples
-// into oranges.
+// Format: wire.hpp frames. A header {"magic", "version", "job": {configs,
+// reps, digest}} -- a resume rejects another job's journal rather than
+// fold apples into oranges -- then one frame per filed record in
+// filing order, then {"complete": true} once the campaign finished. The
+// first commit writes the header and its batch to `<path>.tmp`, fsyncs and
+// renames it over `<path>`; later commits append and fsync.
+//
+// Truncation rule: a SIGKILL mid-append tears the tail. The loader stops
+// at the first short or undecodable frame, and a resume truncates the file
+// there before appending. Dropping a torn record is safe: its run was
+// never filed, so the resumed campaign executes it again, and run_step is
+// deterministic, so the new record equals the lost one.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "campaignd/json.hpp"
+#include "campaignd/net.hpp"
 
 namespace mts::campaignd {
 
@@ -35,33 +42,46 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr const char* kCheckpointMagic = "mts-campaignd-checkpoint";
-inline constexpr int kCheckpointVersion = 1;
-
-struct Checkpoint {
-  std::size_t configs = 0;
-  std::size_t reps = 0;
-  std::string digest;  ///< job_digest() of the owning job
-  /// Whether the campaign had finished when this checkpoint was written
-  /// (a final checkpoint of a complete campaign; resume just re-renders).
-  bool complete = false;
-  /// One record per completed run, in the order they completed (the fold
-  /// re-sorts by run index). Each record is the worker's run_done payload:
-  /// {"result": ..., "report": ..., "registry": ..., "coverage"?, ...}.
-  std::vector<json::Value> runs;
-};
+inline constexpr int kCheckpointVersion = 2;
 
 /// Extracts the record's run index (record.result.index); throws
 /// CheckpointError on malformed records.
 std::size_t record_run_index(const json::Value& record);
 
-/// Atomically writes `cp` to `path` (tmp + fsync + rename). Throws
-/// CheckpointError on I/O failure.
-void write_checkpoint(const std::string& path, const Checkpoint& cp);
+/// The checkpoint journal of one job: stages filed runs' records and
+/// commits them in batches.
+class CheckpointJournal {
+ public:
+  /// The journal at `path` of a `configs` x `reps` job whose job_digest()
+  /// is `digest`. Touches no file.
+  CheckpointJournal(std::string path, std::size_t configs, std::size_t reps,
+                    std::string digest);
 
-/// Loads and validates a checkpoint. `expect_digest` non-empty enforces
-/// job compatibility. Malformed JSON, wrong magic/version, digest mismatch
-/// or out-of-range run indices throw CheckpointError.
-Checkpoint load_checkpoint(const std::string& path,
-                           const std::string& expect_digest = "");
+  /// Reads the journal at the path, passing its intact records to
+  /// `on_record` in filing order, then truncates any torn tail and appends
+  /// after the intact prefix. Returns whether the campaign had completed.
+  /// A missing file, a foreign header (a version-1 whole-document
+  /// checkpoint included), another job's digest or a record without a run
+  /// index inside the matrix throws CheckpointError.
+  bool resume(const std::function<void(json::Value&)>& on_record);
+
+  /// Stages a filed run's record (a journal without a path stages none).
+  void add(const json::Value& record);
+  /// Records staged since the last commit.
+  std::size_t staged() const noexcept { return staged_; }
+  /// Makes the staged records durable, then the completion frame once when
+  /// `complete`. Throws CheckpointError on I/O failure.
+  void commit(bool complete);
+
+ private:
+  std::string path_;
+  std::size_t configs_;
+  std::size_t reps_;
+  std::string digest_;
+  Fd fd_;              ///< open once the file exists
+  std::string batch_;  ///< staged frames
+  std::size_t staged_ = 0;
+  bool complete_ = false;
+};
 
 }  // namespace mts::campaignd

@@ -76,14 +76,6 @@ sim::RunBook make_book(const JobSpec& job) {
   }
 }
 
-/// A record carrying only a result: runs that were never executed
-/// (quarantine skips) have no report, registry or timeline to ship.
-json::Value result_record(const sim::RunResult& r) {
-  json::Value rec = json::Value::object();
-  rec.set("result", run_result_to_json(r));
-  return rec;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -99,11 +91,9 @@ void run_local(const JobSpec& job, Coordinator::Outcome& out) {
 
   for (std::size_t index : book.runs()) {
     if (!book.admit(index)) continue;
-    wl->begin_run();
     sim::run_step(shard, job.opt, job.configs, job.reps, index, 0, body,
                   book.slot(index));
     book.file(index);
-    if (wl->coverage() != nullptr) out.coverage.merge(*wl->coverage());
   }
   book.fold(out);
   out.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -124,26 +114,24 @@ struct Coordinator::Impl {
   std::map<std::int64_t, Unit> units;  ///< incomplete units
   std::deque<std::int64_t> queue;      ///< undispatched unit ids
   sim::RunBook book;
-  /// Filed runs' snapshot records, by run index: what checkpoints store
-  /// and where the coverage deltas wait for finalize.
-  std::map<std::size_t, json::Value> records;
-  std::vector<std::int64_t> quarantined_units;
-  std::size_t since_checkpoint = 0;
   std::string digest;
+  /// Every filed run's record, staged as it is filed (the decoded copy
+  /// lives in the book).
+  CheckpointJournal journal;
+  std::vector<std::int64_t> quarantined_units;
 
   Impl(Coordinator& c, const JobSpec& j, const CoordinatorOptions& o)
-      : self(c), job(j), opt(o), book(make_book(j)) {}
+      : self(c),
+        job(j),
+        opt(o),
+        book(make_book(j)),
+        digest(job_digest(j.configs, j.reps, j.opt, j.workload,
+                          j.params.dump(), book.runs())),
+        journal(o.checkpoint_path, j.configs, j.reps, digest) {}
 
   void emit(const std::string& kind, int worker = -1, long pid = -1,
             std::int64_t unit = -1, const std::string& detail = "") {
-    if (!opt.on_event) return;
-    Event e;
-    e.kind = kind;
-    e.worker = worker;
-    e.pid = pid;
-    e.unit = unit;
-    e.detail = detail;
-    opt.on_event(e);
+    if (opt.on_event) opt.on_event(Event{kind, worker, pid, unit, detail});
   }
 
   bool want_shutdown() const {
@@ -153,13 +141,9 @@ struct Coordinator::Impl {
   // -- setup ----------------------------------------------------------------
 
   void setup() {
-    digest = job_digest(job.configs, job.reps, job.opt, job.workload,
-                        job.params.dump(), book.runs());
-
     if (opt.resume && !opt.checkpoint_path.empty() &&
         ::access(opt.checkpoint_path.c_str(), F_OK) == 0) {
-      Checkpoint cp = load_checkpoint(opt.checkpoint_path, digest);
-      for (json::Value& rec : cp.runs) {
+      journal.resume([this](json::Value& rec) {
         const std::size_t idx = record_run_index(rec);
         if (!book.listed(idx) || book.filed(idx)) {
           throw CheckpointError(opt.checkpoint_path + ": run " +
@@ -169,8 +153,8 @@ struct Coordinator::Impl {
         // Filing replays the failure accounting, so config quarantine
         // resumes where it left off (same gate decisions as the first
         // life).
-        file_record(idx, std::move(rec));
-      }
+        file_record(idx, rec);
+      });
     }
 
     std::vector<std::size_t> remaining;
@@ -218,10 +202,10 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Decodes a snapshot record (wire payload or checkpoint entry) into
-  /// its book slot and files it. A record that does not decode is fatal:
-  /// a half-restored slot must never fold.
-  void file_record(std::size_t idx, json::Value rec) {
+  /// Decodes a snapshot record (wire payload or journal frame) into its
+  /// book slot and files it. A record that does not decode is fatal: a
+  /// half-restored slot must never fold.
+  void file_record(std::size_t idx, const json::Value& rec) {
     try {
       run_record_from_json(rec, book.slot(idx));
     } catch (const json::ProtocolError& e) {
@@ -229,7 +213,6 @@ struct Coordinator::Impl {
                              std::to_string(idx) + ": " + e.what());
     }
     book.file(idx);
-    records.emplace(idx, std::move(rec));
   }
 
   // -- process management ---------------------------------------------------
@@ -398,8 +381,7 @@ struct Coordinator::Impl {
             sim::campaign_run_spec(job.opt.seed, job.reps, index), r);
       }
       book.file(index);
-      records.emplace(index, result_record(r));
-      ++since_checkpoint;
+      journal.add(make_run_record(book.slot(index)));
     }
     quarantined_units.push_back(u.id);
     emit("unit_quarantined", -1, -1, u.id, why + ": " + signature);
@@ -410,17 +392,12 @@ struct Coordinator::Impl {
   /// before dispatch: a gated run leaves the unit, its skip record filed.
   void strip_quarantined_configs(Unit& u) {
     if (job.opt.quarantine_after == 0) return;
-    std::vector<std::size_t> keep;
-    for (std::size_t index : u.indices) {
-      if (book.filed(index)) continue;
-      if (book.admit(index)) {
-        keep.push_back(index);
-        continue;
-      }
-      records.emplace(index, result_record(book.slot(index).result));
-      ++since_checkpoint;
-    }
-    u.indices.swap(keep);
+    std::erase_if(u.indices, [this](std::size_t index) {
+      if (book.filed(index)) return true;
+      if (book.admit(index)) return false;
+      journal.add(make_run_record(book.slot(index)));
+      return true;
+    });
   }
 
   void dispatch_ready() {
@@ -429,18 +406,16 @@ struct Coordinator::Impl {
       if (s.retired || !s.connected || s.unit >= 0) continue;
       // Earliest-created unit whose backoff has elapsed.
       std::int64_t chosen = -1;
-      for (auto it = queue.begin(); it != queue.end(); ++it) {
+      for (auto it = queue.begin(); it != queue.end();) {
         const auto uit = units.find(*it);
         if (uit == units.end()) {
-          it = queue.erase(it);
-          if (it == queue.end()) break;
-          --it;
-          continue;
-        }
-        if (uit->second.not_before <= now) {
+          it = queue.erase(it);  // finished meanwhile
+        } else if (uit->second.not_before <= now) {
           chosen = *it;
           queue.erase(it);
           break;
+        } else {
+          ++it;
         }
       }
       if (chosen < 0) return;
@@ -538,7 +513,7 @@ struct Coordinator::Impl {
     }
     if (!book.filed(idx)) {
       file_record(idx, rec);
-      ++since_checkpoint;
+      journal.add(rec);
       emit("run_done", s.index, static_cast<long>(s.pid), uid,
            "run " + std::to_string(idx));
       maybe_checkpoint();
@@ -664,25 +639,16 @@ struct Coordinator::Impl {
 
   void maybe_checkpoint() {
     if (opt.checkpoint_path.empty() || opt.checkpoint_every == 0) return;
-    if (since_checkpoint < opt.checkpoint_every) return;
+    if (journal.staged() < opt.checkpoint_every) return;
     write_now(false);
   }
 
   void write_now(bool complete) {
     if (opt.checkpoint_path.empty()) return;
-    Checkpoint cp;
-    cp.configs = job.configs;
-    cp.reps = job.reps;
-    cp.digest = digest;
-    cp.complete = complete;
-    for (const auto& [idx, rec] : records) {
-      (void)idx;
-      cp.runs.push_back(rec);
-    }
-    write_checkpoint(opt.checkpoint_path, cp);
-    since_checkpoint = 0;
+    journal.commit(complete);
     emit("checkpoint_written", -1, -1, -1,
-         opt.checkpoint_path + " (" + std::to_string(cp.runs.size()) +
+         opt.checkpoint_path + " (" +
+             std::to_string(book.runs().size() - book.remaining()) +
              " runs)");
   }
 
@@ -815,13 +781,6 @@ void Coordinator::run(Outcome& out) {
   impl.teardown(interrupted);
 
   impl.book.fold(out);
-  for (const auto& entry : impl.records) {
-    if (const json::Value* v = entry.second.find("coverage")) {
-      metrics::Coverage delta;
-      coverage_from_json(*v, delta);
-      out.coverage.merge(delta);
-    }
-  }
   out.quarantined_units = impl.quarantined_units;
   out.interrupted = interrupted;
   out.workers = static_cast<unsigned>(impl.slots.size());

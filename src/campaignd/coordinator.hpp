@@ -9,8 +9,8 @@
 // gate (applied to each unit at dispatch), failure counting and the fold
 // are the job's sim::RunBook, as in sim::Campaign and run_local. Each
 // completed run's snapshot record is decoded on arrival into its book
-// slot; the campaign is done when no listed run remains, and finalize is
-// the book's fold plus the coverage merge -- byte-identical to run_local
+// slot, the one copy of the run; the campaign is done when no listed run
+// remains, and finalize is the book's fold -- byte-identical to run_local
 // (the chaos suite diffs the two, testing the snapshot codec end to end).
 // What the fleet adds exists because processes die: unit retries,
 // backoff, unit quarantine, heartbeats and checkpoints.
@@ -29,12 +29,16 @@
 //     deterministic-failure criterion PR 5 applies to runs -- or exceeding
 //     its retry budget is QUARANTINED: its remaining runs are recorded as
 //     failed ("quarantined") instead of being retried forever.
-//   * Checkpoint/resume: every checkpoint_every completed runs (and at
-//     every shutdown path) the coordinator atomically persists all
-//     completed records. `resume` files them into the book, re-dispatches
-//     only the remainder, and -- because the fold is a pure function of the
-//     records -- renders byte-identical artifacts while REPLAYING NOTHING.
-//     The job digest covers a run_filter's list: no resume under another.
+//   * Checkpoint/resume: checkpoint_path is an append-only journal of
+//     wire frames (checkpoint.hpp): a job header, one frame per filed
+//     record (executed, unit-quarantined or config-gated), a completion
+//     frame. Every checkpoint_every filed runs and at every shutdown path
+//     the staged batch is appended and fsynced; a run without `resume`
+//     starts a new journal. `resume` truncates it at the first short or
+//     undecodable frame (a record lost there was never filed, so its run
+//     re-executes, deterministically), files the rest into the book and
+//     dispatches only the remainder: byte-identical artifacts, REPLAYING
+//     NOTHING. The job digest covers a run_filter's list.
 //   * Graceful shutdown: SIGTERM/SIGINT (install_signal_handlers) or
 //     request_shutdown() stops dispatching, writes a final checkpoint,
 //     kills the fleet and returns with Outcome::interrupted set.
@@ -50,7 +54,6 @@
 #include <vector>
 
 #include "campaignd/json.hpp"
-#include "metrics/coverage.hpp"
 #include "sim/campaign.hpp"
 
 namespace mts::campaignd {
@@ -108,7 +111,7 @@ struct CoordinatorOptions {
   unsigned respawn_limit = 3;
   /// Non-empty: periodic + shutdown checkpoints land here.
   std::string checkpoint_path;
-  /// Checkpoint cadence in completed runs (checkpoint_path set only).
+  /// Checkpoint cadence in filed runs (checkpoint_path set only).
   std::size_t checkpoint_every = 8;
   /// Load checkpoint_path first and execute only the remainder.
   bool resume = false;
@@ -124,7 +127,6 @@ class Coordinator {
   /// The campaign fold (run-index order; `workers` is the fleet actually
   /// spawned) plus what only processes have. Non-copyable.
   struct Outcome : sim::CampaignOutcome {
-    metrics::Coverage coverage;  ///< workload coverage deltas, merged
     std::vector<std::int64_t> quarantined_units;  ///< campaignd semantics
     bool interrupted = false;  ///< graceful shutdown before completion
   };

@@ -80,9 +80,6 @@ class Value {
   bool is_null() const noexcept { return kind_ == Kind::kNull; }
   bool is_object() const noexcept { return kind_ == Kind::kObject; }
   bool is_array() const noexcept { return kind_ == Kind::kArray; }
-  bool is_string() const noexcept { return kind_ == Kind::kString; }
-  bool is_number() const noexcept { return kind_ == Kind::kNumber; }
-  bool is_bool() const noexcept { return kind_ == Kind::kBool; }
 
   // -- typed accessors (throw ProtocolError on kind mismatch) ---------------
 

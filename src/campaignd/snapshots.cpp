@@ -351,13 +351,14 @@ sim::CampaignOptions options_from_json(const Value& v) {
   return opt;
 }
 
-json::Value make_run_record(const sim::RunRecord& rec,
-                            const metrics::Coverage* coverage) {
+json::Value make_run_record(const sim::RunRecord& rec) {
   Value v = Value::object();
   v.set("result", run_result_to_json(rec.result));
   v.set("report", report_to_json(rec.report));
   v.set("registry", registry_to_json(rec.metrics));
-  if (coverage != nullptr) v.set("coverage", coverage_to_json(*coverage));
+  if (rec.coverage.size() > 0) {
+    v.set("coverage", coverage_to_json(rec.coverage));
+  }
   if (!rec.timeline.empty()) v.set("timeline", timeline_to_json(rec.timeline));
   return v;
 }
@@ -366,6 +367,7 @@ void run_record_from_json(const Value& v, sim::RunRecord& out) {
   out.result = run_result_from_json(v.at("result"));
   if (const Value* r = v.find("report")) report_from_json(*r, out.report);
   if (const Value* r = v.find("registry")) registry_from_json(*r, out.metrics);
+  if (const Value* c = v.find("coverage")) coverage_from_json(*c, out.coverage);
   if (const Value* t = v.find("timeline")) timeline_from_json(*t, out.timeline);
 }
 

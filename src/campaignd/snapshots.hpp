@@ -1,11 +1,11 @@
 // Lossless JSON snapshots of the campaign fold inputs.
 //
 // A campaignd worker executes a run and ships its sim::RunRecord -- the
-// RunResult, per-run Report, the body's registry and the sampled timeline
-// -- plus the workload's coverage delta to the coordinator, which decodes
-// the record into its slot of the job's sim::RunBook, the type the
-// in-process engine folds through. The checkpoint file stores the identical
-// records. Both therefore need EXACT round-trips: a restored snapshot must
+// RunResult, per-run Report, the body's registry and coverage and the
+// sampled timeline -- to the coordinator, which decodes the record into
+// its slot of the job's sim::RunBook, the type the in-process engine folds
+// through. The checkpoint journal stores the identical records. Both
+// therefore need EXACT round-trips: a restored snapshot must
 // merge and re-render byte-identically to the original object, which is
 // what makes a resumed or multi-process campaign byte-identical to the
 // sequential in-process run.
@@ -52,7 +52,7 @@ void registry_from_json(const json::Value& v, metrics::Registry& out);
 
 json::Value coverage_to_json(const metrics::Coverage& c);
 /// Defines and hits `out`'s bins to mirror the snapshot (zero-hit bins stay
-/// declared-but-missed). Coverage is non-copyable; call on a fresh object.
+/// declared-but-missed). Call on a fresh object for an exact copy.
 void coverage_from_json(const json::Value& v, metrics::Coverage& out);
 
 // -- metrics::TimeSeriesStore -----------------------------------------------
@@ -75,16 +75,13 @@ sim::CampaignOptions options_from_json(const json::Value& v);
 
 // -- run records (wire run_done payload == checkpoint entry) ----------------
 
-/// Packs one completed run into the canonical record the worker ships and
-/// the checkpoint stores: {"result", "report", "registry", "coverage"?,
-/// "timeline"?}. `coverage` may be nullptr; the timeline is included only
-/// when non-empty.
-json::Value make_run_record(const sim::RunRecord& rec,
-                            const metrics::Coverage* coverage);
+/// Packs one run into the canonical record the worker ships and the
+/// checkpoint journal stores: {"result", "report", "registry",
+/// "coverage"?, "timeline"?}; coverage and timeline only when non-empty.
+json::Value make_run_record(const sim::RunRecord& rec);
 
-/// The inverse for the fold inputs: restores a record's result, report,
-/// registry and timeline into a fresh `out` (absent members stay empty, as
-/// for a quarantine skip). Coverage is the caller's (coverage_from_json).
+/// The inverse: restores a record into a fresh `out` (absent members stay
+/// empty).
 void run_record_from_json(const json::Value& v, sim::RunRecord& out);
 
 /// FNV-1a/64 of a canonical dump, as 16 hex digits: the checkpoint header's

@@ -198,7 +198,7 @@ class Worker {
           pre_run_chaos(d);
         }
       }
-      execute_one(index);
+      json::Value record = execute_one(index);
       for (const ChaosDirective& d : chaos) {
         if (d.at_run == index && d.mode == "drop_connection" &&
             claim_marker(d.marker)) {
@@ -208,7 +208,7 @@ class Worker {
       json::Value done = json::Value::object();
       done.set("type", json::Value("run_done"));
       done.set("unit", json::Value::number_i64(unit));
-      done.set("record", std::move(record_));
+      done.set("record", std::move(record));
       send_msg(done);
       beats_.note_run_done();
     }
@@ -220,14 +220,13 @@ class Worker {
   }
 
   /// Executes run `index` exactly as a Campaign pool thread would (repro
-  /// bundle included) and stages its snapshot record in record_. The run
-  /// list and its quarantine gate are the coordinator's RunBook: it sees
-  /// every worker's records and gates runs before dispatch.
-  void execute_one(std::size_t index) {
-    workload_->begin_run();
+  /// bundle included) and returns its snapshot record. The run list and
+  /// its quarantine gate are the coordinator's RunBook: it sees every
+  /// worker's records and gates runs before dispatch.
+  json::Value execute_one(std::size_t index) {
     sim::RunRecord rec;
     sim::run_step(*shard_, opt_, configs_, reps_, index, 0, body_, rec);
-    record_ = make_run_record(rec, workload_->coverage());
+    return make_run_record(rec);
   }
 
   void pre_run_chaos(const ChaosDirective& d) {
@@ -280,7 +279,6 @@ class Worker {
   std::unique_ptr<Workload> workload_;
   sim::Campaign::Body body_;
   std::unique_ptr<sim::RunShard> shard_;
-  json::Value record_;
 };
 
 }  // namespace

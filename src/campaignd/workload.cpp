@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "fifo/fifo.hpp"
+#include "metrics/cover.hpp"
 #include "metrics/testbench.hpp"
 #include "sim/error.hpp"
 
@@ -16,14 +17,10 @@ namespace mts::campaignd {
 namespace {
 
 std::mutex g_registry_mu;
-std::map<std::string, WorkloadFactory>& factories() {
-  static std::map<std::string, WorkloadFactory> m;
-  return m;
-}
 
 /// The representative mixed-clock FIFO soak (also the scaling benches'):
 /// per-config capacity, seed-derived traffic rates, scoreboard + monitors,
-/// standard coverage bins into the per-run sink.
+/// and (params "coverage") the standard FIFO bins in ctx.coverage().
 class FifoSoak : public Workload {
  public:
   explicit FifoSoak(const json::Value& params) {
@@ -32,12 +29,6 @@ class FifoSoak : public Workload {
       with_coverage_ = params.get_bool("coverage", true);
     } else if (!params.is_null()) {
       throw json::ProtocolError("fifo_soak params must be an object");
-    }
-  }
-
-  void begin_run() override {
-    if (with_coverage_) {
-      cov_ = std::make_unique<metrics::Coverage>("fifo_soak");
     }
   }
 
@@ -59,9 +50,7 @@ class FifoSoak : public Workload {
     metrics::Testbench<fifo::MixedClockFifo> tb(
         sim, cfg, {pp, 4 * pp, put_rate},
         {gp, 4 * pp + gp / 3 + seed % 7, get_rate});
-    if (cov_ != nullptr) {
-      metrics::cover_fifo(*cov_, "dut", tb.dut);
-    }
+    if (with_coverage_) metrics::cover_fifo(ctx.coverage(), "dut", tb.dut);
 
     sim.run_until(4 * pp + static_cast<sim::Time>(cycles_) * pp);
     ctx.set("errors", static_cast<double>(tb.sb.errors()));
@@ -73,12 +62,9 @@ class FifoSoak : public Workload {
     }
   }
 
-  const metrics::Coverage* coverage() const override { return cov_.get(); }
-
  private:
   unsigned cycles_ = 40;
   bool with_coverage_ = true;
-  std::unique_ptr<metrics::Coverage> cov_;
 };
 
 /// fifo_soak plus deterministic failure injection: runs whose index is in
@@ -116,21 +102,14 @@ class ChaosSoak : public FifoSoak {
   bool flaky_ = false;
 };
 
-/// Registers the built-ins exactly once (first registry access).
-struct BuiltinRegistrar {
-  BuiltinRegistrar() {
-    factories()["fifo_soak"] = [](const json::Value& p) {
-      return std::make_unique<FifoSoak>(p);
-    };
-    factories()["chaos_soak"] = [](const json::Value& p) {
-      return std::make_unique<ChaosSoak>(p);
-    };
-  }
-};
-
+/// The registry, holding the built-ins from its first access on.
 std::map<std::string, WorkloadFactory>& registered() {
-  static BuiltinRegistrar once;
-  return factories();
+  static std::map<std::string, WorkloadFactory> m{
+      {"fifo_soak",
+       [](const json::Value& p) { return std::make_unique<FifoSoak>(p); }},
+      {"chaos_soak",
+       [](const json::Value& p) { return std::make_unique<ChaosSoak>(p); }}};
+  return m;
 }
 
 }  // namespace

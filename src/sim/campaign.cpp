@@ -156,8 +156,8 @@ void execute_run(RunShard& shard, const CampaignOptions& opt,
     Watchdog wd(WatchdogConfig{opt.run_deadline_sec, 0, 4096});
     if (opt.run_deadline_sec > 0.0) wd.arm(shard.sim);
 
-    CampaignContext ctx(shard.sim, rec.metrics, spec, worker_index, r,
-                        attempt, hub, tel);
+    CampaignContext ctx(shard.sim, rec, spec, worker_index, attempt, hub,
+                        tel);
     std::string err;
     std::string type;
     bool attempt_ok = false;
@@ -388,8 +388,6 @@ bool Campaign::write_health_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
-// -- the campaign fold -------------------------------------------------------
-
 // -- the run book ------------------------------------------------------------
 
 RunBook::RunBook(std::size_t configs, std::size_t reps,
@@ -493,6 +491,7 @@ void RunBook::fold(CampaignOutcome& out) {
     out.results.push_back(std::move(rec.result));
     out.report.merge(rec.report);
     out.metrics.merge(rec.metrics);
+    out.coverage.merge(rec.coverage);
     out.timeline.merge(rec.timeline);
   }
   std::vector<RunRecord>().swap(slots_);  // folded: release the records

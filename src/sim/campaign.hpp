@@ -28,12 +28,11 @@
 //     inside the body: plan RNG is then per-run, not per-worker.
 //
 //   * One run book. Every run leaves one RunRecord (result, report
-//     snapshot, the registry its body wrote, sampled timeline) in its
-//     RunBook slot; RunBook::fold merges them in run-index order, so the
-//     merged JSON is independent of worker count. The campaignd transports
-//     (run_local, the process fleet) run the same book. Coverage is merged
-//     on the caller's side (metrics::Coverage::merge) because mts_sim
-//     cannot link mts_metrics' attachers.
+//     snapshot, the registry and coverage its body wrote, sampled
+//     timeline) in its RunBook slot; RunBook::fold merges them in
+//     run-index order, so the merged JSON is independent of worker count.
+//     The campaignd transports (run_local, the process fleet) run the same
+//     book.
 //
 // The body runs on pool threads: it must only touch the CampaignContext,
 // its per-run locals, and read-only captures (per-worker slots indexed by
@@ -78,6 +77,7 @@
 #include <string>
 #include <vector>
 
+#include "metrics/coverage.hpp"
 #include "metrics/registry.hpp"  // header-only by design; no link edge
 #include "metrics/timeseries.hpp"
 #include "sim/report.hpp"
@@ -200,20 +200,35 @@ struct RunResult {
   std::uint64_t slo_breaches = 0;  ///< instances over budget this run
 };
 
+/// Everything one run leaves for the campaign fold, filled in place in its
+/// RunBook slot by every transport (the campaignd coordinator decodes the
+/// snapshot records its worker processes ship).
+struct RunRecord {
+  RunResult result;
+  /// The run's Report with the kernel pool high-water zeroed: arena
+  /// capacity belongs to the worker, not to the run (see
+  /// CampaignOptions::capture_run_reports).
+  Report report;
+  /// What the body wrote through ctx.metrics() and ctx.coverage().
+  metrics::Registry metrics;
+  metrics::Coverage coverage;
+  /// The run's sampled series (engine telemetry only; empty when the
+  /// sampler never ticked).
+  metrics::TimeSeriesStore timeline;
+};
+
 /// The body's window onto its shard: the worker's (reset, reseeded)
-/// Simulation, this run's metrics registry, its spec and the result slot
-/// to fill.
+/// Simulation, its spec, and this run's record to fill.
 class CampaignContext {
  public:
-  CampaignContext(Simulation& sim, metrics::Registry& metrics,
-                  const RunSpec& spec, unsigned worker, RunResult& result,
-                  unsigned attempt = 1, verify::Hub* monitors = nullptr,
+  CampaignContext(Simulation& sim, RunRecord& record, const RunSpec& spec,
+                  unsigned worker, unsigned attempt = 1,
+                  verify::Hub* monitors = nullptr,
                   Telemetry* telemetry = nullptr)
       : sim_(sim),
-        metrics_(metrics),
+        record_(record),
         spec_(spec),
         worker_(worker),
-        result_(result),
         attempt_(attempt),
         monitors_(monitors),
         telemetry_(telemetry) {}
@@ -231,18 +246,26 @@ class CampaignContext {
   /// the run's attempts, and folds into Campaign::merged_metrics() in
   /// run-index order -- counters and histogram buckets add, gauges take
   /// the max over runs, whatever the worker count or transport.
-  metrics::Registry& metrics() noexcept { return metrics_; }
+  metrics::Registry& metrics() noexcept { return record_.metrics; }
+
+  /// This run's coverage bins (RunRecord::coverage) for the attachers in
+  /// metrics/cover.hpp: like metrics(), empty at the start of the run,
+  /// shared by its attempts, and folded into Campaign::merged_coverage()
+  /// on every transport.
+  metrics::Coverage& coverage() noexcept { return record_.coverage; }
 
   const RunSpec& spec() const noexcept { return spec_; }
 
-  /// Stable worker index in [0, workers()): the per-worker-slot key for
-  /// caller-side sinks like Coverage that cannot live inside the engine.
+  /// Stable worker index in [0, workers()), for per-worker state a body
+  /// keeps itself (scratch buffers, timing probes).
   unsigned worker() const noexcept { return worker_; }
 
-  RunResult& result() noexcept { return result_; }
+  RunResult& result() noexcept { return record_.result; }
 
   /// Shorthand: result().scalars[name] = v.
-  void set(const std::string& name, double v) { result_.scalars[name] = v; }
+  void set(const std::string& name, double v) {
+    record_.result.scalars[name] = v;
+  }
 
   /// 1-based attempt number for this execution (retries re-run the same
   /// seed with increasing attempt numbers; see CampaignOptions).
@@ -260,10 +283,9 @@ class CampaignContext {
 
  private:
   Simulation& sim_;
-  metrics::Registry& metrics_;
+  RunRecord& record_;
   const RunSpec& spec_;
   unsigned worker_;
-  RunResult& result_;
   unsigned attempt_ = 1;
   verify::Hub* monitors_ = nullptr;
   Telemetry* telemetry_ = nullptr;
@@ -296,22 +318,6 @@ struct RunShard {
   std::unique_ptr<Observability> obs;  ///< the engine-armed bundle
 };
 
-/// Everything one run leaves for the campaign fold, filled in place in its
-/// RunBook slot by every transport (the campaignd coordinator decodes the
-/// snapshot records its worker processes ship).
-struct RunRecord {
-  RunResult result;
-  /// The run's Report with the kernel pool high-water zeroed: arena
-  /// capacity belongs to the worker, not to the run (see
-  /// CampaignOptions::capture_run_reports).
-  Report report;
-  /// What the body wrote through ctx.metrics().
-  metrics::Registry metrics;
-  /// The run's sampled series (engine telemetry only; empty when the
-  /// sampler never ticked).
-  metrics::TimeSeriesStore timeline;
-};
-
 /// RunBook::fold's product, plus the host figures the artifacts render.
 /// sim::Campaign keeps one; campaignd::Coordinator::Outcome extends it.
 struct CampaignOutcome {
@@ -327,6 +333,8 @@ struct CampaignOutcome {
   Report report;
   /// Counters and histogram buckets add, gauges take the max over runs.
   metrics::Registry metrics;
+  /// Bin hits add; a bin any run defined appears.
+  metrics::Coverage coverage;
   /// Run 0's points first, then run 1's, series by series. Per-run sim
   /// times overlap (every run starts at t=0); consumers group by run via
   /// the per-run artifacts when they need separation.
@@ -393,7 +401,7 @@ class RunBook {
   std::vector<std::size_t> quarantined_configs() const;
 
   /// Folds the filed slots into `out` in run-index order (results move;
-  /// reports, registries, timelines merge), then appends the failure and
+  /// reports, registries, coverage, timelines merge), then appends the failure and
   /// SLO manifests (one report entry per failed / breaching run) and sets
   /// the quarantined configs, matrix shape, seed and SLO. Call once: it
   /// releases the slots.
@@ -447,6 +455,10 @@ class Campaign {
   /// The fold of every run's ctx.metrics() registry.
   const metrics::Registry& merged_metrics() const noexcept {
     return out_.metrics;
+  }
+  /// The fold of every run's ctx.coverage() bins.
+  const metrics::Coverage& merged_coverage() const noexcept {
+    return out_.coverage;
   }
   /// The run-index-order fold of every run's Report, plus the manifests.
   const Report& merged_report() const noexcept { return out_.report; }

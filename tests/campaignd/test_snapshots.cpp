@@ -284,15 +284,14 @@ TEST(CampaigndSnapshots, MakeRunRecordShape) {
   sim::RunRecord rec;
   rec.result.index = 3;
   rec.result.ok = true;
-  metrics::Coverage cov("c");
-  cov.hit("a");
 
-  const json::Value minimal = campaignd::make_run_record(rec, nullptr);
+  const json::Value minimal = campaignd::make_run_record(rec);
   EXPECT_FALSE(minimal.has("coverage"));
   EXPECT_FALSE(minimal.has("timeline"));
 
+  rec.coverage.hit("a");
   rec.timeline.append("s", 1, 2.0);
-  const json::Value with_all = campaignd::make_run_record(rec, &cov);
+  const json::Value with_all = campaignd::make_run_record(rec);
   EXPECT_TRUE(with_all.has("result"));
   EXPECT_TRUE(with_all.has("report"));
   EXPECT_TRUE(with_all.has("registry"));
@@ -310,11 +309,14 @@ TEST(CampaigndSnapshots, RunRecordRoundTripsThroughJson) {
   rec.metrics.gauge("i", "g").set(-2.5);
   rec.metrics.histogram("i", "h", {1.0, 10.0}).observe(4.0);
   rec.timeline.append("s", 1, 2.0);
+  rec.coverage.define("missed");
+  rec.coverage.hit("dut.ne.rise", 4);
 
-  const json::Value snap = campaignd::make_run_record(rec, nullptr);
+  const json::Value snap = campaignd::make_run_record(rec);
   sim::RunRecord back;
   campaignd::run_record_from_json(snap, back);
-  EXPECT_EQ(campaignd::make_run_record(back, nullptr).dump(), snap.dump());
+  EXPECT_EQ(campaignd::make_run_record(back).dump(), snap.dump());
+  EXPECT_EQ(back.coverage.bins(), rec.coverage.bins());
   EXPECT_EQ(back.report.to_json(), rec.report.to_json());
   EXPECT_EQ(back.metrics.to_json(), rec.metrics.to_json());
   EXPECT_EQ(back.timeline.to_jsonl(), rec.timeline.to_jsonl());

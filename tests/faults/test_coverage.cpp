@@ -1,6 +1,6 @@
 // Protocol-state coverage: bin bookkeeping, edge subscriptions, the
 // standard FIFO/relay bin sets, and surfacing through sim::Report.
-#include "metrics/coverage.hpp"
+#include "metrics/cover.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,7 @@
 // The determinism workload deliberately stacks every stochastic subsystem:
 // a depth-varying mixed-clock FIFO in stochastic metastability mode with
 // an armed MetaFault plan (per-run FaultPlan RNG), VCD tracing and
-// per-worker coverage. If worker placement leaked into ANY of those, the
+// per-run coverage. If worker placement leaked into ANY of those, the
 // byte comparison would catch it. TSan CI runs this binary (label
 // "campaign") to also prove the absence of data races on the same paths.
 //
@@ -30,7 +30,7 @@
 #include "campaignd/workload.hpp"
 #include "fifo/interface_sides.hpp"
 #include "fifo/mixed_timing_fifo.hpp"
-#include "metrics/coverage.hpp"
+#include "metrics/cover.hpp"
 #include "sim/campaign.hpp"
 #include "sim/fault.hpp"
 #include "sim/trace.hpp"
@@ -182,8 +182,8 @@ struct DetArtifacts {
 
 /// The stacked-stochastic workload: run index selects synchronizer depth
 /// (1 or 2); the campaign-derived seed drives the Simulation RNG and a
-/// per-run FaultPlan. Every artifact lands in a run-index slot or a
-/// worker-index shard -- never shared across threads.
+/// per-run FaultPlan. Every artifact lands in a run-index slot or the
+/// run's own record -- never shared across threads.
 DetArtifacts run_det_campaign(unsigned workers, const std::string& tag) {
   const std::size_t kRuns = 6;
   sim::CampaignOptions opt;
@@ -193,9 +193,8 @@ DetArtifacts run_det_campaign(unsigned workers, const std::string& tag) {
   sim::Campaign campaign(kRuns, 1, opt);
 
   std::vector<std::uint64_t> hashes(kRuns, 0);
-  std::vector<metrics::Coverage> covs(campaign.workers());
 
-  campaign.run([&hashes, &covs, &tag](sim::CampaignContext& ctx) {
+  campaign.run([&hashes, &tag](sim::CampaignContext& ctx) {
     const std::size_t idx = ctx.spec().index;
     fifo::FifoConfig cfg;
     cfg.capacity = 4;
@@ -227,7 +226,7 @@ DetArtifacts run_det_campaign(unsigned workers, const std::string& tag) {
                            0xFF);
     bfm::SyncGetDriver get(sim, "get", cg.out(), dut.req_get(), cfg.dm,
                            {0.85, 1});
-    metrics::cover_fifo(covs[ctx.worker()], "dut", dut);
+    metrics::cover_fifo(ctx.coverage(), "dut", dut);
 
     // Distinct VCD file per (worker-count, run): runs never share a path
     // within one campaign, and the two campaigns under comparison never
@@ -261,9 +260,7 @@ DetArtifacts run_det_campaign(unsigned workers, const std::string& tag) {
     a.escapes.push_back(r.scalars.at("escapes"));
   }
   a.vcd_hashes = hashes;
-  metrics::Coverage merged("det");
-  for (const metrics::Coverage& c : covs) merged.merge(c);
-  a.coverage_bins = merged.bins();
+  a.coverage_bins = campaign.merged_coverage().bins();
   return a;
 }
 

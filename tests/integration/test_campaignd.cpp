@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <regex>
@@ -534,6 +535,33 @@ TEST(CampaigndPolicy, HostWorkersReportsTheSpawnedFleet) {
   const std::string want = "\"host\": {\"workers\": 2,";
   EXPECT_NE(dist.to_json(true).find(want), std::string::npos);
   EXPECT_NE(engine.to_json(true).find(want), std::string::npos);
+}
+
+TEST(CampaigndPolicy, CoverageFoldsIdenticallyOnEveryTransport) {
+  REQUIRE_WORKER_BIN();
+  const JobSpec job = small_job();  // fifo_soak: coverage on by default
+  const std::unique_ptr<campaignd::Workload> wl =
+      campaignd::make_workload(job.workload, job.params);
+  std::vector<std::map<std::string, std::uint64_t>> bins;
+  for (unsigned workers : {1u, 4u}) {
+    sim::CampaignOptions opt = job.opt;
+    opt.workers = workers;
+    sim::Campaign engine(job.configs, job.reps, opt);
+    engine.run(wl->body());
+    bins.push_back(engine.merged_coverage().bins());
+  }
+  Coordinator::Outcome local;
+  campaignd::run_local(job, local);
+  bins.push_back(local.coverage.bins());
+  Coordinator::Outcome dist;
+  Coordinator(job, fast_opts(2)).run(dist);
+  bins.push_back(dist.coverage.bins());
+
+  ASSERT_GT(bins[0].size(), 0u);
+  EXPECT_GT(bins[0].at("dut.ne.rise"), 0u);
+  for (std::size_t i = 1; i < bins.size(); ++i) {
+    EXPECT_EQ(bins[i], bins[0]) << "transport " << i;
+  }
 }
 
 TEST(CampaigndPolicy, ResumeUnderAnotherRunListIsRejected) {

@@ -16,7 +16,7 @@
 #include "bfm/bfm.hpp"
 #include "fifo/fifo.hpp"
 #include "lip/chain.hpp"
-#include "metrics/coverage.hpp"
+#include "metrics/cover.hpp"
 #include "sim/campaign.hpp"
 #include "sync/clock.hpp"
 
@@ -145,14 +145,14 @@ RelayFuzzCase draw_relay(std::mt19937_64& rng) {
 
 // One relay-chain fuzz trial: trials [0, kMcTrials) drive the mixed-clock
 // link (Fig. 11a), the rest the async-sync link (Fig. 14). Coverage bins
-// land in the caller's per-worker Coverage slot; invariants are recorded
+// land in the run's ctx.coverage(); invariants are recorded
 // as RunResult scalars and asserted by the caller after the campaign
 // joins (gtest EXPECTs are not thread-safe inside pool bodies).
 constexpr std::size_t kMcTrials = 12;
 constexpr std::size_t kAsTrials = 8;
 
-void run_relay_trial(sim::CampaignContext& ctx, const RelayFuzzCase& c,
-                     metrics::Coverage& cov) {
+void run_relay_trial(sim::CampaignContext& ctx, const RelayFuzzCase& c) {
+  metrics::Coverage& cov = ctx.coverage();
   fifo::FifoConfig cfg;
   cfg.capacity = c.capacity;
   cfg.width = 8;
@@ -220,8 +220,8 @@ TEST(FuzzCampaign, RelayChainTopologiesHoldInvariantsAndCoverEveryBin) {
   // rates and random stop duty cycles, fanned across a sim::Campaign
   // worker pool. The trials are pre-drawn from the historical RNG stream
   // on this thread, so the case list is byte-for-byte the old sequential
-  // one regardless of worker count. Coverage aggregates across trials into
-  // per-worker shards merged here (shared bin prefixes); the campaign as a
+  // one regardless of worker count. Coverage from every trial folds into
+  // merged_coverage() (shared bin prefixes); the campaign as a
   // whole must reach every detector transition, both token-ring wraps and
   // all four stall x valid combinations on both link flavours.
   std::mt19937_64 rng(20260806);
@@ -234,13 +234,10 @@ TEST(FuzzCampaign, RelayChainTopologiesHoldInvariantsAndCoverEveryBin) {
   opt.workers = campaign_jobs();
   opt.seed = 20260806;
   sim::Campaign campaign(cases.size(), 1, opt);
-  std::vector<metrics::Coverage> covs(campaign.workers());
   campaign.run([&](sim::CampaignContext& ctx) {
-    run_relay_trial(ctx, cases[ctx.spec().index], covs[ctx.worker()]);
+    run_relay_trial(ctx, cases[ctx.spec().index]);
   });
-
-  metrics::Coverage cov("relay-campaign");
-  for (const metrics::Coverage& shard : covs) cov.merge(shard);
+  const metrics::Coverage& cov = campaign.merged_coverage();
 
   ASSERT_EQ(campaign.failed(), 0u);
   for (const sim::RunResult& r : campaign.results()) {

@@ -10,7 +10,7 @@
 //                                        the same failure reproduces, 1 when
 //                                        it does not, 2 on a malformed bundle
 //
-// `run --checkpoint FILE` checkpoints completed runs; re-running with
+// `run --checkpoint FILE` journals completed runs; re-running with
 // --resume replays nothing and renders byte-identical artifacts. SIGTERM /
 // SIGINT write a final checkpoint before exiting (exit code 3). A bad flag
 // or numeric value prints usage and exits 2.
