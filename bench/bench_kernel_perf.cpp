@@ -223,7 +223,7 @@ double overhead_pct(const Measurement& off, const Measurement& armed) {
 }
 
 void write_kernel_json(bool smoke) {
-  const std::uint64_t chain_events = smoke ? 200'000 : 4'000'000;
+  const std::uint64_t chain_events = smoke ? 2'000'000 : 4'000'000;
   const Measurement chain =
       best_of(3, [&] { return measure_chain(chain_events, nullptr); });
   const Measurement profiled = best_of(3, [&] {

@@ -7,7 +7,7 @@
 // (including std::function itself, for legacy call sites).
 //
 // Differences from std::function, chosen deliberately for the kernel:
-//   - move-only (events are moved through the queue, never copied);
+//   - move-only (a callable is built in place and never copied);
 //   - invoking an empty InplaceFunction is undefined (the scheduler never
 //     stores empty callbacks; check with operator bool if unsure);
 //   - no target()/target_type() RTTI surface.
@@ -22,12 +22,11 @@
 namespace mts::sim {
 
 /// 40 inline bytes + the vtable pointer keeps sizeof(InplaceFunction) at 48,
-/// so a scheduler pool slot (callback + profiler site + free-list link) and
-/// a delta-ring entry (callback + site) are each 64 bytes, one cache line's
-/// worth.
-/// The future-event heap sifts 16-byte keys, so the callback size no longer
-/// sets the cost of a sift. Still roomy enough for a whole std::function
-/// (32 bytes on libstdc++).
+/// so a scheduler pool slot (callback + bucket/free-list link + profiler
+/// site + slot number) is 64 bytes, one cache line's worth. Callbacks run
+/// in place in their slot and the overflow heap sifts 16-byte keys, so the
+/// callback size sets no move cost. Still roomy enough for a whole
+/// std::function (32 bytes on libstdc++).
 inline constexpr std::size_t kCallbackInlineSize = 40;
 
 /// Tag for the argument-dropping constructor: stores a nullary callable in a

@@ -14,10 +14,10 @@
 //     RunBook (each run fills its own slot; failure counts are atomics).
 //
 //   * Arena reuse. Between runs a worker calls Simulation::reset(seed),
-//     which drains the scheduler's delta ring and heap WITHOUT releasing
-//     their grown storage -- so after the first run on each worker, runs
-//     schedule into warm arenas and the steady state stays allocation-free
-//     (the PR-1 kernel property, preserved under the pool).
+//     which empties the scheduler's wheel and overflow heap WITHOUT
+//     releasing their grown storage -- so after the first run on each
+//     worker, runs schedule into warm arenas and the steady state stays
+//     allocation-free, as it is within one run.
 //
 //   * Determinism. Run `i`'s seed is campaign_run_seed(campaign seed, i) --
 //     a pure function of the campaign seed and the run index, never of the

@@ -28,12 +28,13 @@ struct KernelSiteStat {
 struct KernelStats {
   /// Total events executed since construction.
   std::uint64_t events_executed = 0;
-  /// Maximum number of simultaneously pending events (delta ring + heap).
+  /// Maximum number of simultaneously pending events (timing wheel +
+  /// overflow heap).
   std::size_t peak_queue_depth = 0;
-  /// Event slots ever allocated (delta-ring capacity + future-key heap
-  /// capacity): the pool high-water mark. Constant once the workload
-  /// reaches steady state. The future-callback pool is not counted; it
-  /// grows to the peak number of simultaneously pending future events.
+  /// Event storage ever allocated: callback-pool slots (whole chunks of
+  /// 32, so at least 32) plus the overflow key heap's capacity. Constant
+  /// once the workload reaches steady state; a thrown callback recycles
+  /// its slot like one that returns.
   std::size_t pool_high_water = 0;
   /// Hottest callback sites (profiler armed only), sorted by wall time
   /// descending; at most KernelProfiler::kTopN rows.

@@ -1,9 +1,8 @@
 // A growable power-of-two ring buffer (FIFO) for move-only elements.
 //
-// Backing storage for the scheduler's "delta ring" of current-timestamp
-// events: push_back/pop_front are O(1) with no allocation once the buffer
-// has grown to the workload's high-water mark, so the steady-state event
-// loop recycles the same slots forever (the buffer is the event pool).
+// push_back/pop_front are O(1) with no allocation once the buffer has grown
+// to its high-water mark, so a steady-state FIFO recycles the same slots
+// forever. Its one user is bfm::Scoreboard's queue of expected words.
 #pragma once
 
 #include <cstddef>

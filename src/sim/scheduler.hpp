@@ -1,26 +1,39 @@
 // Discrete-event scheduler.
 //
-// Two-level queue: a FIFO "delta ring" holds events at the current
-// timestamp (the dominant case -- zero-delay gate writes and delta cycles),
-// and a 4-ary min-heap of (time, sequence) keys holds future events. When
-// the ring drains, the earliest heap timestamp is promoted: every heap event
-// at that time moves into the ring in scheduling order before any of them
-// runs, so same-timestamp events always execute in scheduling order
-// regardless of which level they entered through. This gives the kernel
-// deterministic delta-cycle semantics: a zero-delay write scheduled while
-// processing time T runs later within T, never "before" already-pending
-// work.
+// Every event runs in (time, scheduling sequence) order: same-timestamp
+// events execute in the order they were scheduled, so a zero-delay write
+// scheduled while processing time T runs later within T, never "before"
+// already-pending work. This gives the kernel deterministic delta-cycle
+// semantics.
 //
-// The future level is split in two. The heap holds only 16-byte keys
-// {time, seq << 24 | slot}; the callbacks stay put in a slot pool whose
-// free list runs through the slots (the same shape as Signal's transaction
-// pool). A sift therefore moves keys, never a callback: a callback is built
-// once, in place, in its slot, and moved exactly once more -- out of the
-// slot when it runs, or into the ring when it is promoted as a sibling.
-// The packed key has two limits:
-//   - at most kMaxFutureEvents (2^24) future events pending at once; the
-//     next at()/after() into the future raises SimulationError;
-//   - sequence numbers run out after kSeqLimit (2^40) future events since
+// The queue is a timing wheel of kWheelSize (2^13) one-picosecond buckets
+// covering [now(), now() + kWheelSize), plus an overflow heap for later
+// events (a hashed timing wheel, after Varghese & Lauck):
+//   - an event due within the horizon appends to its time's bucket, a FIFO
+//     list threaded through the pool slots' `next` links (a zero-delay
+//     event appends to the current bucket). A two-level occupancy bitmap
+//     finds the next non-empty bucket; a bucket's list is valid only while
+//     its bit is set;
+//   - a later event pushes a 16-byte key {time, seq << 24 | slot} onto a
+//     4-ary min-heap ordered on (time, seq);
+//   - migration invariant: every time now() moves (run_until's jump
+//     included), the keys with time < now() + kWheelSize move into the
+//     wheel in pop order before anything runs at the new time. A direct
+//     insert at time t needs t - now() < kWheelSize, so it always comes
+//     after t's migrated keys, and every bucket is in scheduling order.
+//
+// Callbacks live in a pool of fixed-size chunks that never move; the free
+// list runs through the slots. A callback is built once, in place, in its
+// slot, and invoked there: a callback may schedule events and grow the
+// pool while it runs. A scope guard destroys the callable and recycles its
+// slot after it returns or throws. reset() from inside a running callback
+// raises SimulationError rather than destroy the running callable.
+//
+// Limits:
+//   - at most kMaxPending (2^24) events pending at once (the pool's slot
+//     numbers fit the key's low 24 bits); the next at()/after() raises
+//     SimulationError;
+//   - sequence numbers run out after kSeqLimit (2^40) overflow events since
 //     construction/reset(); the pending keys are then renumbered in
 //     (time, seq) order, which changes no execution order.
 //
@@ -33,8 +46,10 @@
 // SimulationError instead of hanging the process.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -45,7 +60,6 @@
 #include "sim/error.hpp"
 #include "sim/kernel_stats.hpp"
 #include "sim/profiler.hpp"
-#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace mts::sim {
@@ -56,7 +70,7 @@ class Scheduler {
  public:
   using Callback = InplaceFunction<void()>;
 
-  Scheduler() = default;
+  Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -85,31 +99,27 @@ class Scheduler {
     MTS_ASSERT(t >= now_, "event scheduled in the past at t=" +
                               std::to_string(t) +
                               " now=" + std::to_string(now_));
-    if (t == now_) {
-      // Same-timestamp events always have a later sequence number than
-      // anything still in the heap at this time (those were promoted into
-      // the ring before execution started), so FIFO order is scheduling
-      // order.
-      ring_.push_back(RingEvent{Callback(std::forward<F>(f)), site});
-    } else {
-      if (free_head_ == kNoSlot) grow_pool();
-      const std::uint32_t slot = free_head_;
-      Slot& s = pool_[slot];
-      // A free slot holds an empty Callback, so the callable is built
-      // straight over it: no temporary, no move-assignment. On a throw the
-      // slot is restored to empty and stays on the free list.
-      try {
-        ::new (static_cast<void*>(&s.cb)) Callback(std::forward<F>(f));
-      } catch (...) {
-        ::new (static_cast<void*>(&s.cb)) Callback();
-        throw;
-      }
-      s.site = site;
-      free_head_ = s.next_free;
-      if (next_seq_ == kSeqLimit) renumber_keys();
-      push_key(Key{t, next_seq_++ << kSlotBits | slot});
+    if (free_ == nullptr) grow_pool();
+    Slot* s = free_;
+    // A free slot holds an empty Callback, so the callable is built
+    // straight over it: no temporary, no move-assignment. On a throw the
+    // slot is restored to empty and stays on the free list.
+    try {
+      ::new (static_cast<void*>(&s->cb)) Callback(std::forward<F>(f));
+    } catch (...) {
+      ::new (static_cast<void*>(&s->cb)) Callback();
+      throw;
     }
-    note_push();
+    free_ = s->next;
+    s->site = site;
+    if (t - now_ < kWheelSize) {
+      append(s, t);
+    } else {
+      push_far(s, t);
+    }
+    if (++pending_ > stats_.peak_queue_depth) {
+      stats_.peak_queue_depth = pending_;
+    }
   }
 
   /// Schedules `f` at now() + delay.
@@ -119,8 +129,8 @@ class Scheduler {
     at(now_ + delay, std::forward<F>(f));
   }
 
-  bool empty() const noexcept { return ring_.empty() && heap_.empty(); }
-  std::size_t pending() const noexcept { return ring_.size() + heap_.size(); }
+  bool empty() const noexcept { return pending_ == 0; }
+  std::size_t pending() const noexcept { return pending_; }
 
   /// Runs the single earliest event. Returns false if the queue is empty.
   bool step();
@@ -138,12 +148,12 @@ class Scheduler {
   void set_timestamp_budget(std::size_t budget) { timestamp_budget_ = budget; }
 
   /// Returns the scheduler to its just-constructed state -- time 0, empty
-  /// queues, zeroed health counters -- while KEEPING the grown storage of
-  /// the delta ring, the key heap and the callback pool, so the next run is
-  /// allocation-free from its first event. Pending callbacks are destroyed.
-  /// The armed profiler (if any) is kept; the timestamp budget is kept.
-  /// This is the campaign engine's per-run arena-reuse hook
-  /// (sim/campaign.hpp).
+  /// queues, zeroed health counters -- while KEEPING the grown callback
+  /// pool and key heap, so the next run is allocation-free from its first
+  /// event. Pending callbacks are destroyed. The armed profiler (if any) is
+  /// kept; the timestamp budget is kept. This is the campaign engine's
+  /// per-run arena-reuse hook (sim/campaign.hpp). Raises SimulationError
+  /// when called from inside a running callback.
   void reset();
 
   /// Arms (nullptr: disarms) wall-time profiling of event dispatch. The
@@ -167,7 +177,7 @@ class Scheduler {
   /// when a profiler is armed; pending profiler samples are flushed first).
   KernelStats stats() const {
     KernelStats s = stats_;
-    s.pool_high_water = ring_.capacity() + heap_.capacity();
+    s.pool_high_water = chunks_.size() * kChunkSlots + heap_.capacity();
     if (profiler_ != nullptr) {
       profiler_->flush();
       s.hot_sites = profiler_->top();
@@ -180,29 +190,41 @@ class Scheduler {
  private:
   friend struct SchedulerTestAccess;
 
-  /// Bits of a future-event key that hold the pool slot; the other 40
-  /// hold the scheduling sequence number.
+  /// Wheel buckets, one per picosecond: events due before now() +
+  /// kWheelSize go to the wheel, later ones to the overflow heap.
+  static constexpr Time kWheelSize = Time{1} << 13;
+  static constexpr std::size_t kWheelMask = kWheelSize - 1;
+  static constexpr std::size_t kWheelWords = kWheelSize / 64;
+  /// Bits of an overflow key that hold the pool slot; the other 40 hold
+  /// the scheduling sequence number.
   static constexpr unsigned kSlotBits = 24;
-  /// Future events that may be pending at once.
-  static constexpr std::size_t kMaxFutureEvents = std::size_t{1} << kSlotBits;
-  /// Future events scheduled (since construction or reset()) before the
+  /// Events that may be pending at once: the pool's slot numbers.
+  static constexpr std::size_t kMaxPending = std::size_t{1} << kSlotBits;
+  /// Overflow events scheduled (since construction or reset()) before the
   /// pending keys are renumbered.
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
                                              << (64 - kSlotBits);
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Slots per pool chunk (64 bytes each).
+  static constexpr std::size_t kChunkSlots = 32;
 
-  struct RingEvent {
+  /// An event's callback. A pending slot links to the next event of its
+  /// bucket (a bucket is a circular list, see append()); a free slot holds
+  /// an empty Callback and links to the next free slot.
+  struct Slot {
     Callback cb;
+    Slot* next = nullptr;
     KernelProfiler::SiteId site = 0;
+    std::uint32_t index = 0;  ///< slot number, for overflow keys
   };
-  /// A future event's heap entry: `seq_slot` packs the scheduling sequence
-  /// number above the pool slot index. Sequence numbers are unique, so the
-  /// slot bits never decide a comparison.
+  static_assert(sizeof(Slot) == 64, "a pool slot is one cache line");
+  /// An overflow event's heap entry: `seq_slot` packs the scheduling
+  /// sequence number above the pool slot number. Sequence numbers are
+  /// unique, so the slot bits never decide a comparison.
   struct Key {
     Time t = 0;
     std::uint64_t seq_slot = 0;
     std::uint32_t slot() const noexcept {
-      return static_cast<std::uint32_t>(seq_slot & (kMaxFutureEvents - 1));
+      return static_cast<std::uint32_t>(seq_slot & (kMaxPending - 1));
     }
   };
   struct Later {
@@ -210,96 +232,81 @@ class Scheduler {
       return a.t != b.t ? a.t > b.t : a.seq_slot > b.seq_slot;
     }
   };
-  /// A future event's callback; free slots hold an empty Callback and link
-  /// through `next_free`.
-  struct Slot {
-    Callback cb;
-    KernelProfiler::SiteId site = 0;
-    std::uint32_t next_free = kNoSlot;
-  };
 
-  /// Appends one slot and makes it the free-list head. Raises
-  /// SimulationError once the pool holds kMaxFutureEvents slots.
+  /// Appends one chunk of free slots. Raises SimulationError once the
+  /// pool holds kMaxPending slots.
   void grow_pool();
 
-  /// Returns `slot` (whose callback has been moved out) to the free list.
-  void free_slot(std::uint32_t slot) noexcept {
-    pool_[slot].next_free = free_head_;
-    free_head_ = slot;
-  }
-
-  /// 4-ary heap on Later, hole-based: a sift moves 16-byte keys only.
-  void push_key(Key k) {
-    std::size_t i = heap_.size();
-    heap_.push_back(k);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!Later{}(heap_[parent], k)) break;
-      heap_[i] = heap_[parent];
-      i = parent;
+  /// Appends `s` to the bucket of `t` (t - now() < kWheelSize). A bucket
+  /// is a circular list addressed by its tail, whose `next` is the head;
+  /// `tails_[b]` is valid only while bucket b's occupancy bit is set.
+  void append(Slot* s, Time t) noexcept {
+    const std::size_t b = t & kWheelMask;
+    const std::size_t w = b >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (b & 63);
+    Slot*& tail = tails_[b];
+    if ((occupied_[w] & bit) != 0) {
+      s->next = tail->next;
+      tail->next = s;
+    } else {
+      s->next = s;
+      occupied_[w] |= bit;
+      summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
     }
-    heap_[i] = k;
+    tail = s;
   }
 
-  /// Removes and returns the earliest key. Precondition: heap non-empty.
-  Key pop_key() noexcept {
-    const Key top = heap_.front();
-    const Key last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return top;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (Later{}(heap_[best], heap_[c])) best = c;
-      }
-      if (!Later{}(last, heap_[best])) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
-    return top;
-  }
+  /// Pushes `s` onto the overflow heap at time `t`.
+  void push_far(Slot* s, Time t);
 
-  /// Reassigns sequence numbers 0..n-1 to the pending keys in (time, seq)
-  /// order; a sorted array is already a valid heap.
-  void renumber_keys();
+  /// The first occupancy word after w, circularly (w itself last) that
+  /// has a bit set. Precondition: the wheel is not empty.
+  std::size_t next_word(std::size_t w) const noexcept;
 
-  /// Pops and runs the front delta-ring event (which is at now()).
-  void run_one_from_ring();
+  /// Finds the earliest pending event; if it is due at or before `limit`,
+  /// moves now() to its time (migrating overflow keys), unlinks it and
+  /// returns its slot. Returns nullptr, changing nothing, otherwise.
+  Slot* next_event(Time limit);
 
-  /// Advances now() to the earliest heap timestamp and runs its first event
-  /// directly; any sibling events at the same timestamp are first moved into
-  /// the delta ring (in scheduling order) so they run before the executed
-  /// event's zero-delay children. Precondition: ring empty, heap non-empty.
-  void run_one_from_heap();
+  /// Runs events due at or before `limit` until none is left or
+  /// `max_events` have run; returns how many ran.
+  std::size_t drain(Time limit, std::size_t max_events);
+
+  /// Runs `s`'s callback in place, then destroys it and frees the slot --
+  /// also when it throws.
+  void run_slot(Slot* s);
+
+  /// Moves now() to `t` and migrates the overflow keys now within the
+  /// horizon.
+  void advance_to(Time t);
+  /// Moves the earliest overflow keys into the wheel while they are within
+  /// the horizon. Precondition: the earliest one is.
+  void migrate();
 
   /// Runs cb() under `site`'s ProfileScope and records a site sample
   /// (profiler armed only). Wall time is attributed by the profiler's
   /// block-sampled clock, not per-callback reads (see sim/profiler.hpp).
   void run_profiled(Callback& cb, KernelProfiler::SiteId site);
 
-  void dispatch(RingEvent& ev) {
-    if (profiler_ == nullptr) {
-      ev.cb();
-    } else {
-      run_profiled(ev.cb, ev.site);
-    }
-  }
+  /// 4-ary heap on Later, hole-based: a sift moves 16-byte keys only.
+  void push_key(Key k);
+  /// Removes and returns the earliest key. Precondition: heap non-empty.
+  Key pop_key() noexcept;
+  /// Reassigns sequence numbers 0..n-1 to the pending keys in (time, seq)
+  /// order; a sorted array is already a valid heap.
+  void renumber_keys();
 
-  void note_push() noexcept {
-    const std::size_t depth = ring_.size() + heap_.size();
-    if (depth > stats_.peak_queue_depth) stats_.peak_queue_depth = depth;
-  }
-
-  RingBuffer<RingEvent> ring_;  ///< events at now(), FIFO order
-  std::vector<Key> heap_;       ///< future event keys, 4-ary min-heap
-  std::vector<Slot> pool_;      ///< future event callbacks, by key slot
-  std::uint32_t free_head_ = kNoSlot;  ///< free-list head into pool_
+  /// Pool chunks; a chunk never moves, so a running callback stays put.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  Slot* free_ = nullptr;  ///< free-list head
+  /// Bucket tails, valid only while the bucket's bit is set: never
+  /// initialized, so a Scheduler costs no 64 KB clear.
+  std::unique_ptr<Slot*[]> tails_;
+  std::array<std::uint64_t, kWheelWords> occupied_{};  ///< bit per bucket
+  std::array<std::uint64_t, kWheelWords / 64> summary_{};  ///< bit per word
+  std::vector<Key> heap_;  ///< overflow keys, 4-ary min-heap
+  std::size_t pending_ = 0;
+  Slot* running_ = nullptr;  ///< slot of the innermost running callback
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t events_at_now_ = 0;

@@ -2,25 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace mts::sim {
 
 /// Reaches the packed key's sequence counter, so the renumbering path runs
-/// without scheduling 2^40 events first.
+/// without scheduling 2^40 events first, and the wheel's geometry.
 struct SchedulerTestAccess {
   static constexpr std::uint64_t kSeqLimit = Scheduler::kSeqLimit;
+  static constexpr Time kWheelSize = Scheduler::kWheelSize;
+  static constexpr std::size_t kChunkSlots = Scheduler::kChunkSlots;
   static std::uint64_t next_seq(const Scheduler& s) { return s.next_seq_; }
   static void set_next_seq(Scheduler& s, std::uint64_t v) { s.next_seq_ = v; }
 };
 
 namespace {
+
+constexpr Time kHorizon = SchedulerTestAccess::kWheelSize;
 
 TEST(Scheduler, StartsAtTimeZero) {
   Scheduler s;
@@ -143,31 +149,30 @@ TEST(Scheduler, PendingCountsQueuedEvents) {
   EXPECT_EQ(s.pending(), 2u);
 }
 
-// Events at one timestamp enter through both queue levels: those scheduled
-// before time advances sit in the future heap, those scheduled while the
-// timestamp is executing go straight to the delta ring. Scheduling order
+// Events at one timestamp are scheduled both before and while that
+// timestamp executes; all of them share one bucket, and scheduling order
 // must hold across that boundary.
 TEST(Scheduler, FifoOrderAcrossRingHeapBoundary) {
   Scheduler s;
   std::vector<int> order;
   s.at(5, [&] {
     order.push_back(1);
-    s.at(5, [&] { order.push_back(4); });  // ring entry
-    s.at(5, [&] { order.push_back(5); });  // ring entry
+    s.at(5, [&] { order.push_back(4); });  // scheduled while t=5 runs
+    s.at(5, [&] { order.push_back(5); });  // scheduled while t=5 runs
   });
-  s.at(5, [&] { order.push_back(2); });  // heap sibling of the first event
-  s.at(5, [&] { order.push_back(3); });  // heap sibling of the first event
+  s.at(5, [&] { order.push_back(2); });  // sibling of the first event
+  s.at(5, [&] { order.push_back(3); });  // sibling of the first event
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
-// The per-timestamp budget must count ring events belonging to a timestamp
-// that was entered via the heap, and must reset when time advances.
+// The per-timestamp budget must count the zero-delay events of a timestamp
+// that time advanced to, and must reset when time advances.
 TEST(Scheduler, OscillationBudgetSpansBothQueueLevels) {
   Scheduler s;
   s.set_timestamp_budget(50);
   std::function<void()> loop = [&] { s.after(0, loop); };
-  s.at(7, loop);  // enters at t=7 through the heap, then loops in the ring
+  s.at(7, loop);  // time advances to t=7, then loops there
   EXPECT_THROW(s.run(), SimulationError);
 
   Scheduler ok;
@@ -316,12 +321,21 @@ class Traffic {
 
   /// Schedules one event; `r` picks the delay, the entry point and the
   /// callable's storage class. Zero and small delays dominate so same-time
-  /// siblings meet on both queue levels.
+  /// siblings meet in one bucket. One event in ten goes to the wheel's
+  /// horizon (kHorizon - 1, kHorizon, kHorizon + 1) or beyond it, up to
+  /// 4 * kHorizon, to a time on a 16-ps grid, so overflow events meet
+  /// events that later small delays insert straight into their bucket.
   void schedule(std::uint64_t r) {
     const std::uint64_t id = next_id_++;
-    const std::uint64_t pick = r % 10;
-    const Time delay = pick < 3 ? 0 : pick < 8 ? 1 + (r >> 8) % 3 : (r >> 8) % 200;
-    const Time t = q_.now() + delay;
+    const std::uint64_t pick = r % 20;
+    const Time now = q_.now();
+    Time delay = pick < 6    ? 0
+                 : pick < 15 ? 1 + (r >> 8) % 3
+                 : pick < 18 ? (r >> 8) % 200
+                 : pick < 19 ? kHorizon - 1 + (r >> 8) % 3
+                             : (r >> 8) % (4 * kHorizon + 1);
+    if (pick == 19) delay = std::max(now, (now + delay) & ~Time{15}) - now;
+    const Time t = now + delay;
     switch ((r >> 16) % 4) {
       case 0: q_.at(t, Fire{this, id}); break;
       case 1: q_.after(delay, Fire{this, id}); break;
@@ -377,7 +391,10 @@ std::vector<std::pair<std::uint64_t, Time>> drive(std::uint64_t seed) {
         for (std::uint64_t i = 0; i < 1 + (r >> 8) % 8; ++i) q.step();
         break;
       case 5:
-        q.run_until(q.now() + (r >> 8) % 64);
+        // Mostly short horizons; one in four jumps now() up to 3 horizons
+        // ahead, into time that overflow events are pending at.
+        q.run_until(q.now() + ((r >> 8) % 4 == 0 ? (r >> 10) % (3 * kHorizon)
+                                                 : (r >> 10) % 64));
         break;
       case 6:
         q.run(1 + (r >> 8) % 50);
@@ -407,8 +424,8 @@ TEST(Scheduler, MatchesTimeSequenceReferenceOnSeededTraffic) {
   }
 }
 
-// A running callback lives outside the pool: one that schedules enough
-// future events to grow (reallocate) the pool must still read its own
+// A running callback runs in place in its pool slot: one that schedules
+// enough events to grow the pool by many chunks must still read its own
 // captures afterwards.
 TEST(Scheduler, CallbackMayGrowThePoolWhileRunning) {
   Scheduler s;
@@ -420,6 +437,7 @@ TEST(Scheduler, CallbackMayGrowThePoolWhileRunning) {
     std::uint64_t* fired;
     std::uint64_t a, b;
     void operator()() const {
+      seen->push_back(a);
       for (int i = 0; i < 5000; ++i) {
         s->after(1 + static_cast<Time>(i % 97), [f = fired] { ++*f; });
       }
@@ -429,14 +447,17 @@ TEST(Scheduler, CallbackMayGrowThePoolWhileRunning) {
   };
   static_assert(sizeof(Grower) <= kCallbackInlineSize);
   s.at(3, Grower{&s, &seen, &fired, 0x1234, 0x5678});
+  const std::size_t first_chunk = s.stats().pool_high_water;
+  EXPECT_EQ(first_chunk, SchedulerTestAccess::kChunkSlots);
   s.run();
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0x1234, 0x5678}));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0x1234, 0x1234, 0x5678}));
   EXPECT_EQ(fired, 5000u);
+  EXPECT_GT(s.stats().pool_high_water, 5000u);
 }
 
 // reset() destroys every pending callback exactly once -- inline, heap-cell
-// and std::function payloads, in the ring and in the future pool -- and the
-// pool serves the next run.
+// and std::function payloads, in the current bucket, in later buckets and
+// behind overflow keys -- and the pool serves the next run.
 TEST(Scheduler, ResetDestroysEachPendingCallbackOnce) {
   struct Tracked {
     explicit Tracked(int* live) : live(live) { ++*live; }
@@ -451,14 +472,17 @@ TEST(Scheduler, ResetDestroysEachPendingCallbackOnce) {
   auto token = std::make_shared<int>(0);
   Scheduler s;
   s.at(1, [&] {
-    s.after(0, Tracked(&live));  // ring
+    s.after(0, Tracked(&live));  // current bucket
     for (int i = 0; i < 10; ++i) {
       s.after(static_cast<Time>(1 + i), Tracked(&live));
       s.after(static_cast<Time>(1 + i), std::function<void()>([token] {}));
     }
+    for (int i = 0; i < 3; ++i) {  // overflow
+      s.after(kHorizon + static_cast<Time>(i), Tracked(&live));
+    }
   });
   s.step();
-  EXPECT_EQ(live, 11);
+  EXPECT_EQ(live, 14);
   EXPECT_EQ(token.use_count(), 11);
   s.reset();
   EXPECT_EQ(live, 0);
@@ -474,20 +498,100 @@ TEST(Scheduler, ResetDestroysEachPendingCallbackOnce) {
   EXPECT_EQ(live, 0);
 }
 
-// When the key's sequence field runs out, the pending keys are renumbered
-// in (time, seq) order. The wrap comes after 0, 1, 2: event 2 has sifted
-// above 0, so heap-array order would run 1 before 0.
+// When the key's sequence field runs out, the pending overflow keys are
+// renumbered in (time, seq) order. Every event lies beyond the wheel's
+// horizon, so each takes a key. The wrap comes after 0, 1, 2: event 2 has
+// sifted above 0, so heap-array order would run 1 before 0.
 TEST(Scheduler, SequenceRenumberingKeepsOrder) {
   Scheduler s;
   std::vector<int> order;
   SchedulerTestAccess::set_next_seq(s, SchedulerTestAccess::kSeqLimit - 3);
   const Time times[] = {20, 20, 10, 20, 10, 15};
   for (int i = 0; i < 6; ++i) {
-    s.at(times[i], [&order, i] { order.push_back(i); });
+    s.at(kHorizon + times[i], [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(SchedulerTestAccess::next_seq(s), 6u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{2, 4, 5, 0, 1, 3}));
+}
+
+// An event that waited in the overflow heap and one inserted straight into
+// the wheel at the same time run in scheduling order: the overflow event
+// migrates as soon as now() comes within the horizon of it, before any
+// event can be inserted directly at its time.
+TEST(Scheduler, OverflowAndDirectInsertAtOneTimeKeepSchedulingOrder) {
+  Scheduler s;
+  std::vector<int> order;
+  const Time t = 2 * kHorizon + 5;
+  s.at(t, [&] { order.push_back(0); });  // overflow
+  s.at(t, [&] { order.push_back(1); });  // overflow
+  s.at(t - kHorizon, [&] {
+    // now() + kHorizon == t: still overflow.
+    s.at(t, [&] { order.push_back(2); });
+    s.after(1, [&] {
+      // t - now() == kHorizon - 1: a direct insert.
+      s.at(t, [&] { order.push_back(3); });
+    });
+  });
+  s.run_until(t - kHorizon / 2);  // a jump migrates the rest
+  s.at(t, [&] { order.push_back(4); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(s.now(), t);
+}
+
+// A callback that throws still has its callable destroyed and its slot
+// recycled: a thousand throwing events do not grow the pool, and the
+// scheduler runs normally afterwards.
+TEST(Scheduler, ThrowingEventsRecycleTheirSlots) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  auto throw_once = [&](Time delay) {
+    s.after(delay, [token] { throw std::runtime_error("boom"); });
+    EXPECT_THROW(s.run(), std::runtime_error);
+  };
+  throw_once(kHorizon);  // the key heap has grown too
+  const std::size_t pool = s.stats().pool_high_water;
+  for (int i = 1; i < 1000; ++i) {
+    throw_once(static_cast<Time>(i % 3 == 0 ? 0 : i % 3 == 1 ? 7 : kHorizon + i));
+  }
+  EXPECT_EQ(s.stats().pool_high_water, pool);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.stats().events_executed, 1000u);
+
+  int hits = 0;
+  for (int i = 0; i < 100; ++i) {
+    s.after(static_cast<Time>(i % 5), [&hits] { ++hits; });
+  }
+  s.run();
+  EXPECT_EQ(hits, 100);
+}
+
+// reset() from inside a running callback would destroy the callable that
+// is running: it raises SimulationError and changes nothing instead.
+TEST(Scheduler, ResetFromARunningCallbackThrows) {
+  Scheduler s;
+  std::vector<std::uint64_t> seen;
+  int later = 0;
+  struct Resetter {
+    Scheduler* s;
+    std::vector<std::uint64_t>* seen;
+    std::uint64_t a, b;
+    void operator()() const {
+      EXPECT_THROW(s->reset(), SimulationError);
+      seen->push_back(a);
+      seen->push_back(b);
+    }
+  };
+  s.at(5, [&later] { ++later; });
+  s.at(3, Resetter{&s, &seen, 0xabcd, 0xef01});
+  s.run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0xabcd, 0xef01}));
+  EXPECT_EQ(later, 1);
+  EXPECT_EQ(s.now(), 5u);
+  s.reset();  // outside a callback it works
+  EXPECT_EQ(s.now(), 0u);
 }
 
 }  // namespace
