@@ -6,27 +6,30 @@
 // an instrumented global allocator, and writes them to BENCH_kernel.json in
 // the current directory, stamped with the host and build that produced
 // them. `--smoke` runs the small shapes (CI; also exercises the pool and
-// free-list code under sanitizers). The per-layer rungs (signal commit, gate
-// evaluation, queue depth) are perfbench's, not this binary's.
+// free-list code under sanitizers). The campaign rung is one in-process
+// worker: the 1-worker floor is the gated number, and worker-count identity
+// is the CampaignDeterminism tests' job. The per-layer rungs (signal commit,
+// gate evaluation, queue depth) are perfbench's, not this binary's.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
 
 #include "bfm/bfm.hpp"
+#include "campaignd/json.hpp"
+#include "campaignd/workload.hpp"
 #include "fifo/fifo.hpp"
 #include "metrics/registry.hpp"
 #include "sim/observe.hpp"
 #include "sim/profiler.hpp"
 #include "sync/clock.hpp"
 #include "verify/hub.hpp"
-
-#include "campaign_workload.hpp"
 
 // ---------------------------------------------------------------------------
 // Instrumented allocator hook: counts every global operator new. The kernel's
@@ -217,6 +220,24 @@ double measure_sampler_rate(std::size_t sources, std::uint64_t samples) {
          }).per_sec;
 }
 
+/// Single-worker runs/s of a 3 x `reps` sim::Campaign over campaignd's
+/// fifo_soak workload, `cycles` put cycles a run, "coverage" off (no bins
+/// attached): capacity cycles through {4, 8, 16} with the config index and
+/// traffic rates derive from the per-run seed.
+double measure_campaign_runs_per_sec(std::size_t reps, unsigned cycles) {
+  campaignd::json::Value params = campaignd::json::Value::object();
+  params.set("cycles", campaignd::json::Value::number_u64(cycles));
+  params.set("coverage", campaignd::json::Value(false));
+  const std::unique_ptr<campaignd::Workload> workload =
+      campaignd::make_workload("fifo_soak", params);
+  sim::CampaignOptions opt;
+  opt.workers = 1;
+  opt.seed = 99;
+  sim::Campaign campaign(3, reps, opt);
+  campaign.run(workload->body());
+  return campaign.runs_per_sec();
+}
+
 /// Slowdown of `armed` relative to `off`, in percent.
 double overhead_pct(const Measurement& off, const Measurement& armed) {
   return (off.per_sec / armed.per_sec - 1.0) * 100.0;
@@ -248,17 +269,10 @@ void write_kernel_json(bool smoke) {
     rate_large = std::max(rate_large, measure_sampler_rate(64, sampler_samples));
   }
 
-  // Campaign scaling on the shared FIFO-soak workload (see
-  // campaign_workload.hpp). Speedup is bounded by host cores, which the
-  // host stamp records, so a 1-core box reporting ~1.0x reads as what it is.
   const std::size_t campaign_reps = smoke ? 3 : 8;
   const unsigned campaign_cycles = smoke ? 100 : 300;
-  const unsigned campaign_workers[] = {1, 2, 4, 8};
-  double campaign_rps[std::size(campaign_workers)] = {};
-  for (std::size_t i = 0; i < std::size(campaign_workers); ++i) {
-    campaign_rps[i] = benchwork::measure_campaign_runs_per_sec(
-        campaign_workers[i], 3, campaign_reps, campaign_cycles);
-  }
+  const double campaign_rps =
+      measure_campaign_runs_per_sec(campaign_reps, campaign_cycles);
 
   FILE* f = std::fopen("BENCH_kernel.json", "w");
   if (f == nullptr) {
@@ -308,14 +322,7 @@ void write_kernel_json(bool smoke) {
   std::fprintf(f, "    \"runs\": %zu,\n",
                static_cast<std::size_t>(3) * campaign_reps);
   std::fprintf(f, "    \"cycles_per_run\": %u,\n", campaign_cycles);
-  std::fprintf(f, "    \"runs_per_sec\": {");
-  for (std::size_t i = 0; i < std::size(campaign_workers); ++i) {
-    std::fprintf(f, "%s\"%u\": %.1f", i == 0 ? "" : ", ", campaign_workers[i],
-                 campaign_rps[i]);
-  }
-  std::fprintf(f, "},\n");
-  std::fprintf(f, "    \"speedup_4w_vs_1w\": %.2f\n",
-               campaign_rps[2] / campaign_rps[0]);
+  std::fprintf(f, "    \"runs_per_sec\": {\"1\": %.1f}\n", campaign_rps);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -323,13 +330,11 @@ void write_kernel_json(bool smoke) {
   std::printf("BENCH_kernel.json: chain %.3g events/s (%.3g allocs/Mevent), "
               "profiled %.3g (+%.1f%%); FIFO soak disarmed %.3g cycles/s, "
               "monitors +%.1f%%, telemetry +%.1f%%; sampler %.3g samples/s "
-              "@8 sources, %.3g @64; campaign %.1f runs/s @1w, %.2fx @4w; "
-              "host %s\n",
+              "@8 sources, %.3g @64; campaign %.1f runs/s @1w; host %s\n",
               chain.per_sec, chain.allocs_per_million, profiled.per_sec,
               overhead_pct(chain, profiled), off.per_sec,
               overhead_pct(off, monitors), overhead_pct(off, telemetry),
-              rate_small, rate_large, campaign_rps[0],
-              campaign_rps[2] / campaign_rps[0], host_json().c_str());
+              rate_small, rate_large, campaign_rps, host_json().c_str());
 }
 
 }  // namespace

@@ -38,9 +38,9 @@ mkdir -p out
 MTS_CAMPAIGN_JOBS="$jobs" ctest --test-dir build 2>&1 | tee out/test_output.txt
 
 # Benchmarks run from out/ so that generated artifacts (fig3_*.vcd from
-# bench_fig3_protocols, BENCH_kernel.json from bench_kernel_perf,
-# BENCH_campaign.json from bench_campaign_scaling) are written there
-# instead of the repository root. Campaign-driven sweeps take --jobs.
+# bench_fig3_protocols, BENCH_kernel.json from bench_kernel_perf) are
+# written there instead of the repository root. Campaign-driven sweeps
+# take --jobs.
 campaign_benches="bench_table1_latency bench_sync_depth bench_matrix_extension"
 (
   cd out
@@ -93,13 +93,23 @@ campaign_benches="bench_table1_latency bench_sync_depth bench_matrix_extension"
   "$repo"/build/tools/mts_timeline storm_timeline.jsonl --series stall_duty
 ) 2>&1 | tee out/backpressure_storm.txt
 
+# Campaign health document: the FIFO soak on the in-process campaign oracle
+# with the per-run telemetry sampler armed (the same command as CI).
+(
+  cd out
+  "$repo"/build/tools/mts_campaignd run --workload fifo_soak \
+    --params '{"cycles":150}' --configs 3 --reps 4 --seed 99 --local \
+    --telemetry-interval 50000 --out campaign.json \
+    --health campaign_health.json
+)
+
 # Kernel perf gate: chain and 1-worker-campaign throughput, the disarmed
 # FIFO soak's fixed 5% floor, and the profiler, allocation and
 # armed-telemetry ceilings, vs the recorded BENCH_kernel.json.
 python3 scripts/check_kernel_perf.py BENCH_kernel.json out/BENCH_kernel.json
 
 echo "done: see out/test_output.txt, out/bench_output.txt, out/*.vcd,"
-echo "      out/latency_histograms.json, out/BENCH_campaign.json,"
+echo "      out/latency_histograms.json,"
 echo "      out/soc_trace.json, out/soc_report.json, out/soc_timeline.jsonl,"
 echo "      out/storm_trace.json, out/storm_timeline.jsonl,"
 echo "      out/campaign_health.json, out/BENCH_kernel.json"

@@ -8,8 +8,8 @@
 // (scalars, ctx.metrics(), ctx.coverage()) into the run's sim::RunRecord.
 //
 // Built-ins:
-//   fifo_soak   the representative mixed-clock FIFO soak (the scaling
-//               benches run it too, bench/campaign_workload.hpp): capacity
+//   fifo_soak   the representative mixed-clock FIFO soak (the kernel
+//               bench's campaign rung runs it too): capacity
 //               cycles {4,8,16} with the config index, traffic rates from
 //               the per-run seed, scoreboard + monitors; "coverage"
 //               attaches metrics::cover_fifo to ctx.coverage().

@@ -23,8 +23,8 @@ namespace mts::sim {
 
 /// 40 inline bytes + the vtable pointer keeps sizeof(InplaceFunction) at 48,
 /// so a scheduler pool slot (callback + bucket/free-list link + profiler
-/// site + slot number) is 64 bytes, one cache line's worth. Callbacks run
-/// in place in their slot and the overflow heap sifts 16-byte keys, so the
+/// site) is 64 bytes, one cache line's worth. Callbacks run in place in
+/// their slot and the overflow heap sifts keys that point at slots, so the
 /// callback size sets no move cost. Still roomy enough for a whole
 /// std::function (32 bytes on libstdc++).
 inline constexpr std::size_t kCallbackInlineSize = 40;

@@ -24,24 +24,23 @@ void Scheduler::grow_pool() {
   Slot* chunk =
       chunks_.emplace_back(std::make_unique<Slot[]>(kChunkSlots)).get();
   for (std::size_t i = kChunkSlots; i-- > 0;) {
-    chunk[i].index = static_cast<std::uint32_t>(base + i);
     chunk[i].next = free_;
     free_ = &chunk[i];
   }
 }
 
 void Scheduler::push_far(Slot* s, Time t) {
-  if (next_seq_ == kSeqLimit) renumber_keys();
-  push_key(Key{t, next_seq_++ << kSlotBits | s->index});
+  heap_.push_back(Key{t, next_seq_++, s});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void Scheduler::migrate() {
   // Pop order keeps each bucket in scheduling order: these keys were all
   // scheduled before any direct insert at their time could happen.
   do {
-    const Key k = pop_key();
-    const std::uint32_t slot = k.slot();
-    append(&chunks_[slot / kChunkSlots][slot % kChunkSlots], k.t);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    append(heap_.back().slot, heap_.back().t);
+    heap_.pop_back();
   } while (!heap_.empty() && heap_.front().t - now_ < kWheelSize);
 }
 
@@ -143,48 +142,6 @@ void Scheduler::run_profiled(Callback& cb, KernelProfiler::SiteId site) {
   profiler_->sample(site);
   ProfileScope scope(profiler_, site);
   cb();
-}
-
-void Scheduler::push_key(Key k) {
-  std::size_t i = heap_.size();
-  heap_.push_back(k);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!Later{}(heap_[parent], k)) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = k;
-}
-
-Scheduler::Key Scheduler::pop_key() noexcept {
-  const Key top = heap_.front();
-  const Key last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (Later{}(heap_[best], heap_[c])) best = c;
-    }
-    if (!Later{}(last, heap_[best])) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = last;
-  return top;
-}
-
-void Scheduler::renumber_keys() {
-  std::sort(heap_.begin(), heap_.end(),
-            [](const Key& a, const Key& b) { return Later{}(b, a); });
-  next_seq_ = 0;
-  for (Key& k : heap_) k.seq_slot = next_seq_++ << kSlotBits | k.slot();
 }
 
 std::size_t Scheduler::drain(Time limit, std::size_t max_events) {

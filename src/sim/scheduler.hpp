@@ -14,8 +14,10 @@
 //     event appends to the current bucket). A two-level occupancy bitmap
 //     finds the next non-empty bucket; a bucket's list is valid only while
 //     its bit is set;
-//   - a later event pushes a 16-byte key {time, seq << 24 | slot} onto a
-//     4-ary min-heap ordered on (time, seq);
+//   - a later event pushes a key {time, seq, slot} onto a binary min-heap
+//     (std::push_heap) ordered on (time, seq). Few events go there (34 of
+//     40.7M in perfbench's fifo_soak, 0.41% in its telemetry-armed
+//     table1_sweep), so the standard heap serves;
 //   - migration invariant: every time now() moves (run_until's jump
 //     included), the keys with time < now() + kWheelSize move into the
 //     wheel in pop order before anything runs at the new time. A direct
@@ -29,13 +31,11 @@
 // slot after it returns or throws. reset() from inside a running callback
 // raises SimulationError rather than destroy the running callable.
 //
-// Limits:
-//   - at most kMaxPending (2^24) events pending at once (the pool's slot
-//     numbers fit the key's low 24 bits); the next at()/after() raises
-//     SimulationError;
-//   - sequence numbers run out after kSeqLimit (2^40) overflow events since
-//     construction/reset(); the pending keys are then renumbered in
-//     (time, seq) order, which changes no execution order.
+// Limit: at most kMaxPending (2^24) events pending at once, a 1 GiB pool;
+// the next at()/after() raises SimulationError. perfbench's fifo_soak peaks
+// at 156 pending, so the guard stops a model whose events multiply without
+// bound long before it exhausts host memory. The 64-bit sequence number
+// never wraps.
 //
 // Callbacks are small-buffer-optimized (sim/callback.hpp) and every level
 // recycles its storage, so the steady-state hot loop performs zero heap
@@ -195,15 +195,9 @@ class Scheduler {
   static constexpr Time kWheelSize = Time{1} << 13;
   static constexpr std::size_t kWheelMask = kWheelSize - 1;
   static constexpr std::size_t kWheelWords = kWheelSize / 64;
-  /// Bits of an overflow key that hold the pool slot; the other 40 hold
-  /// the scheduling sequence number.
-  static constexpr unsigned kSlotBits = 24;
-  /// Events that may be pending at once: the pool's slot numbers.
-  static constexpr std::size_t kMaxPending = std::size_t{1} << kSlotBits;
-  /// Overflow events scheduled (since construction or reset()) before the
-  /// pending keys are renumbered.
-  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
-                                             << (64 - kSlotBits);
+  /// Events that may be pending at once: the runaway guard (see the
+  /// header comment).
+  static constexpr std::size_t kMaxPending = std::size_t{1} << 24;
   /// Slots per pool chunk (64 bytes each).
   static constexpr std::size_t kChunkSlots = 32;
 
@@ -214,22 +208,20 @@ class Scheduler {
     Callback cb;
     Slot* next = nullptr;
     KernelProfiler::SiteId site = 0;
-    std::uint32_t index = 0;  ///< slot number, for overflow keys
   };
   static_assert(sizeof(Slot) == 64, "a pool slot is one cache line");
-  /// An overflow event's heap entry: `seq_slot` packs the scheduling
-  /// sequence number above the pool slot number. Sequence numbers are
-  /// unique, so the slot bits never decide a comparison.
+  /// An overflow event's heap entry. Sequence numbers are unique, so two
+  /// keys never compare equal.
   struct Key {
     Time t = 0;
-    std::uint64_t seq_slot = 0;
-    std::uint32_t slot() const noexcept {
-      return static_cast<std::uint32_t>(seq_slot & (kMaxPending - 1));
-    }
+    std::uint64_t seq = 0;
+    Slot* slot = nullptr;
   };
+  /// The heap's less-than: std::push_heap keeps a greatest key in front,
+  /// so ordering by "later" puts the earliest (time, seq) there.
   struct Later {
     bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.t != b.t ? a.t > b.t : a.seq_slot > b.seq_slot;
+      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
     }
   };
 
@@ -288,14 +280,6 @@ class Scheduler {
   /// block-sampled clock, not per-callback reads (see sim/profiler.hpp).
   void run_profiled(Callback& cb, KernelProfiler::SiteId site);
 
-  /// 4-ary heap on Later, hole-based: a sift moves 16-byte keys only.
-  void push_key(Key k);
-  /// Removes and returns the earliest key. Precondition: heap non-empty.
-  Key pop_key() noexcept;
-  /// Reassigns sequence numbers 0..n-1 to the pending keys in (time, seq)
-  /// order; a sorted array is already a valid heap.
-  void renumber_keys();
-
   /// Pool chunks; a chunk never moves, so a running callback stays put.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   Slot* free_ = nullptr;  ///< free-list head
@@ -304,7 +288,7 @@ class Scheduler {
   std::unique_ptr<Slot*[]> tails_;
   std::array<std::uint64_t, kWheelWords> occupied_{};  ///< bit per bucket
   std::array<std::uint64_t, kWheelWords / 64> summary_{};  ///< bit per word
-  std::vector<Key> heap_;  ///< overflow keys, 4-ary min-heap
+  std::vector<Key> heap_;  ///< overflow keys, a min-heap on Later
   std::size_t pending_ = 0;
   Slot* running_ = nullptr;  ///< slot of the innermost running callback
   Time now_ = 0;

@@ -4,7 +4,7 @@
 // and a fresh journal for every run without resume.
 //
 // Built into the campaignd e2e binary: the fleet cases spawn the
-// mts_campaignd worker (MTS_CAMPAIGND_BIN overrides its baked-in path).
+// mts_campaignd worker (worker_bin.hpp).
 #include "campaignd/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -24,6 +23,7 @@
 #include "campaignd/json.hpp"
 #include "campaignd/snapshots.hpp"
 #include "campaignd/wire.hpp"
+#include "worker_bin.hpp"
 
 namespace campaignd = mts::campaignd;
 namespace json = mts::campaignd::json;
@@ -91,18 +91,6 @@ std::string slurp(const std::string& path) {
 }
 
 // -- fleet cases --------------------------------------------------------------
-
-std::string worker_bin() {
-  if (const char* env = std::getenv("MTS_CAMPAIGND_BIN")) return env;
-  return MTS_CAMPAIGND_BIN_DEFAULT;
-}
-
-#define REQUIRE_WORKER_BIN()                                \
-  do {                                                      \
-    if (::access(worker_bin().c_str(), X_OK) != 0) {        \
-      GTEST_SKIP() << "mts_campaignd binary unavailable";   \
-    }                                                       \
-  } while (false)
 
 campaignd::JobSpec tiny_job(std::size_t reps) {
   campaignd::JobSpec job;

@@ -6,10 +6,8 @@
 // under another run list, repro-bundle replay through a worker process and
 // the CLI's numeric-flag errors and usage text.
 //
-// Worker processes are fork/exec'd from the mts_campaignd CLI binary; its
-// path is baked in at configure time (MTS_CAMPAIGND_BIN_DEFAULT) and can be
-// overridden with the MTS_CAMPAIGND_BIN environment variable. Tests skip
-// when the binary is missing (e.g. a library-only build).
+// Worker processes are fork/exec'd from the mts_campaignd CLI binary
+// (worker_bin.hpp).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -36,6 +34,8 @@
 #include "campaignd/workload.hpp"
 #include "sim/campaign.hpp"
 
+#include "../campaignd/worker_bin.hpp"
+
 namespace campaignd = mts::campaignd;
 namespace json = mts::campaignd::json;
 namespace sim = mts::sim;
@@ -45,23 +45,6 @@ using campaignd::Event;
 using campaignd::JobSpec;
 
 namespace {
-
-std::string worker_bin() {
-  if (const char* env = std::getenv("MTS_CAMPAIGND_BIN")) return env;
-#ifdef MTS_CAMPAIGND_BIN_DEFAULT
-  return MTS_CAMPAIGND_BIN_DEFAULT;
-#else
-  return std::string();
-#endif
-}
-
-#define REQUIRE_WORKER_BIN()                                          \
-  do {                                                                \
-    if (worker_bin().empty() ||                                       \
-        ::access(worker_bin().c_str(), X_OK) != 0) {                  \
-      GTEST_SKIP() << "mts_campaignd binary unavailable";             \
-    }                                                                 \
-  } while (false)
 
 /// Thread-safe event sink shared with the coordinator.
 struct EventLog {

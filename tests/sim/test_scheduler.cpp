@@ -14,14 +14,10 @@
 
 namespace mts::sim {
 
-/// Reaches the packed key's sequence counter, so the renumbering path runs
-/// without scheduling 2^40 events first, and the wheel's geometry.
+/// Reaches the wheel's geometry.
 struct SchedulerTestAccess {
-  static constexpr std::uint64_t kSeqLimit = Scheduler::kSeqLimit;
   static constexpr Time kWheelSize = Scheduler::kWheelSize;
   static constexpr std::size_t kChunkSlots = Scheduler::kChunkSlots;
-  static std::uint64_t next_seq(const Scheduler& s) { return s.next_seq_; }
-  static void set_next_seq(Scheduler& s, std::uint64_t v) { s.next_seq_ = v; }
 };
 
 namespace {
@@ -498,19 +494,16 @@ TEST(Scheduler, ResetDestroysEachPendingCallbackOnce) {
   EXPECT_EQ(live, 0);
 }
 
-// When the key's sequence field runs out, the pending overflow keys are
-// renumbered in (time, seq) order. Every event lies beyond the wheel's
-// horizon, so each takes a key. The wrap comes after 0, 1, 2: event 2 has
-// sifted above 0, so heap-array order would run 1 before 0.
-TEST(Scheduler, SequenceRenumberingKeepsOrder) {
+// Every event lies beyond the wheel's horizon, so each takes an overflow
+// key: they run in time order, and the three at one time in scheduling
+// order. Event 2 sifts above 0, so heap-array order would run 1 before 0.
+TEST(Scheduler, OverflowEventsRunInTimeThenSchedulingOrder) {
   Scheduler s;
   std::vector<int> order;
-  SchedulerTestAccess::set_next_seq(s, SchedulerTestAccess::kSeqLimit - 3);
   const Time times[] = {20, 20, 10, 20, 10, 15};
   for (int i = 0; i < 6; ++i) {
     s.at(kHorizon + times[i], [&order, i] { order.push_back(i); });
   }
-  EXPECT_EQ(SchedulerTestAccess::next_seq(s), 6u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{2, 4, 5, 0, 1, 3}));
 }
